@@ -514,13 +514,11 @@ class Auditor:
         in_events = 0
         for sim in self._sims:
             for entry in sim._heap:
-                if len(entry) == 4:
-                    args = entry[3]
-                else:
-                    ev = entry[2]
-                    if ev.cancelled:
+                args = entry[3]
+                if entry[2] is None:
+                    if args.cancelled:
                         continue
-                    args = ev.args
+                    args = args.args
                 for arg in args:
                     if isinstance(arg, Packet):
                         in_events += 1
@@ -668,7 +666,7 @@ class Auditor:
             self._count("clock")
             live = 0
             for entry in sim._heap:
-                if len(entry) == 4 or not entry[2].cancelled:
+                if entry[2] is not None or not entry[3].cancelled:
                     live += 1
             if live != sim._live:
                 self.violation(

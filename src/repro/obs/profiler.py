@@ -2,7 +2,7 @@
 
 When enabled, the instrumented engine loop wraps every event dispatch in a
 ``perf_counter()`` pair and attributes the elapsed wall time to the
-callback's qualified name (``Port._tx_done``, ``FlowSender._send_seq``, ...).
+callback's qualified name (``Port._tx_wake``, ``FlowSender._send_seq``, ...).
 The result is a cheap flat profile of where a run's real time goes —
 answering "which event type dominates?" without an external profiler.
 

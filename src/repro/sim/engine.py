@@ -15,10 +15,16 @@ The vast majority of events in a packet simulation — port tx completions and
 propagation deliveries — are never cancelled.  :meth:`Simulator.call_at` /
 :meth:`Simulator.call_after` schedule those without constructing an
 :class:`EventHandle` at all: the heap entry is a bare ``(time, seq, fn, args)``
-tuple.  Both entry shapes share one heap; ``run()`` tells them apart by tuple
-length, and ordering is unaffected because the unique ``seq`` in slot 1 means
-tuple comparison never reaches the callable.  Use ``at()/after()`` only where
-the caller needs ``cancel()``.
+tuple.  A cancellable event is the same four slots with ``fn`` set to
+``None`` and the handle in place of ``args``, so ``run()`` unpacks every entry
+the same way and tells the two apart with one identity test.  Ordering is
+unaffected because the unique ``seq`` in slot 1 means tuple comparison never
+reaches the callable.  Use ``at()/after()`` only where the caller needs
+``cancel()``.
+
+The hot path pushes entries itself (see :class:`repro.sim.port.Port`): it
+takes two sequence numbers from ``_seq``, adds them to ``_live`` and calls
+``heapq.heappush`` on ``_heap``, exactly as :meth:`Simulator.call_at2` does.
 """
 
 from __future__ import annotations
@@ -66,11 +72,6 @@ class EventHandle:
         self.args = ()
         if self.sim is not None:
             self.sim._note_cancel()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -150,8 +151,9 @@ class Simulator:
         self._seq += 1
         ev = EventHandle(time, self._seq, fn, args, self)
         self._live += 1
-        # heap entries are (time, seq, handle) tuples: comparisons stay in C
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        # (time, seq, None, handle): comparisons stay in C, and the None
+        # callable tells run() to go through the handle
+        heapq.heappush(self._heap, (time, self._seq, None, ev))
         return ev
 
     def after(self, delay: int, fn: Callable, *args: Any) -> EventHandle:
@@ -216,45 +218,34 @@ class Simulator:
         exhausted = True  # no more events at or before `until`
         self._running = True
         pop = heapq.heappop
+        push = heapq.heappush
         # int sentinels keep the per-event comparisons int-vs-int
         horizon = (1 << 63) if until is None else until
         limit = (1 << 63) if max_events is None else max_events
         try:
             while heap:
-                entry = heap[0]
-                # fast-path entries are (time, seq, fn, args); classic ones
-                # are (time, seq, EventHandle).  seq is unique, so heap order
-                # never compares slot 2 and the shapes can share one heap.
-                if len(entry) == 4:
-                    time = entry[0]
-                    if time > horizon:
-                        break
-                    if processed >= limit:
-                        exhausted = False
-                        break
-                    pop(heap)
-                    self.now = time
-                    entry[2](*entry[3])
-                    processed += 1
-                    continue
-                ev = entry[2]
-                if ev.cancelled:
-                    pop(heap)
+                # pop first: an entry past the horizon or the event budget is
+                # pushed back, which leaves the same heap order
+                entry = pop(heap)
+                time, _, fn, args = entry
+                if fn is None and args.cancelled:
                     self._cancelled -= 1
                     continue
-                time = entry[0]
                 if time > horizon:
+                    push(heap, entry)
                     break
                 if processed >= limit:
+                    push(heap, entry)
                     exhausted = False
                     break
-                pop(heap)
                 self.now = time
-                fn = ev.fn
-                args = ev.args
-                # mark fired so a late cancel() is a no-op for the counters
-                ev.cancelled = True
-                ev.sim = None
+                if fn is None:
+                    # a cancellable event: mark it fired so a late cancel()
+                    # is a no-op for the counters
+                    fn = args.fn
+                    args.cancelled = True
+                    args.sim = None
+                    args = args.args
                 fn(*args)
                 processed += 1
         finally:
@@ -297,56 +288,35 @@ class Simulator:
         exhausted = True
         self._running = True
         pop = heapq.heappop
+        push = heapq.heappush
         horizon = (1 << 63) if until is None else until
         limit = (1 << 63) if max_events is None else max_events
         # int sentinel keeps the per-event compare int-vs-int when not sampling
         next_sample = smp.next_due(self.now) if smp_on else (1 << 63)
         try:
             while heap:
-                entry = heap[0]
-                if len(entry) == 4:
-                    time = entry[0]
-                    if time > horizon:
-                        break
-                    if processed >= limit:
-                        exhausted = False
-                        break
-                    pop(heap)
-                    if time >= next_sample:
-                        next_sample = smp.sample(time)
-                    if aud_on and time < self.now:
-                        aud.clock_violation(time, self.now)
-                    self.now = time
-                    if prof_on:
-                        fn = entry[2]
-                        t0 = perf_counter()
-                        fn(*entry[3])
-                        prof.record(fn, perf_counter() - t0)
-                    else:
-                        entry[2](*entry[3])
-                    processed += 1
-                    continue
-                ev = entry[2]
-                if ev.cancelled:
-                    pop(heap)
+                entry = pop(heap)
+                time, _, fn, args = entry
+                if fn is None and args.cancelled:
                     self._cancelled -= 1
                     continue
-                time = entry[0]
                 if time > horizon:
+                    push(heap, entry)
                     break
                 if processed >= limit:
+                    push(heap, entry)
                     exhausted = False
                     break
-                pop(heap)
                 if time >= next_sample:
                     next_sample = smp.sample(time)
                 if aud_on and time < self.now:
                     aud.clock_violation(time, self.now)
                 self.now = time
-                fn = ev.fn
-                args = ev.args
-                ev.cancelled = True
-                ev.sim = None
+                if fn is None:
+                    fn = args.fn
+                    args.cancelled = True
+                    args.sim = None
+                    args = args.args
                 if prof_on:
                     t0 = perf_counter()
                     fn(*args)
@@ -375,7 +345,7 @@ class Simulator:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if len(entry) == 3 and entry[2].cancelled:
+            if entry[2] is None and entry[3].cancelled:
                 heapq.heappop(heap)
                 self._cancelled -= 1
                 continue
@@ -399,6 +369,6 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place (safe mid-run)."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if len(entry) == 4 or not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None or not entry[3].cancelled]
         heapq.heapify(heap)
         self._cancelled = 0

@@ -96,13 +96,13 @@ class Network:
         """Populate ECMP next-hop tables and finalize switch buffers."""
         for switch in self.switches:
             switch.finalize()
+            switch.invalidate_routes()
         # register ingress peers now that all ports exist
         for node in self.nodes:
             for port, peer in self._adj[node.node_id]:
                 if isinstance(peer, Switch):
                     peer.register_ingress(port.peer_in_idx, port, port.prop_delay_ns)
-        for host in self.hosts:
-            self._build_routes_to(host)
+        self._build_host_routes()
         self._routes_built = True
         # arm the process-default fault plan (if any) against this fabric;
         # a no-op one-call check when fault injection is off
@@ -115,13 +115,37 @@ class Network:
             self.fault_injector = FaultInjector(self.sim, self, plan)
             self.fault_injector.arm()
 
-    def _build_routes_to(self, dst: Host) -> None:
-        """BFS from ``dst`` over the node graph; ECMP keeps all shortest hops.
+    def _build_host_routes(self) -> None:
+        """ECMP next-hop tables toward every host: all shortest hops kept.
 
-        Links whose egress port is down are excluded (failure handling).
+        Links whose egress port is down are excluded (failure handling).  A
+        host has one link, so every path toward it ends with its ToR switch
+        and no path passes through another host: away from the ToR, the
+        shortest next hops toward the host are the shortest next hops toward
+        the ToR.  One BFS per ToR therefore serves all the hosts under it;
+        only the ToR's own entry (the port facing the host) differs.
+        Entries are inserted host by host, as a BFS per host would.
         """
-        dist: Dict[int, int] = {dst.node_id: 0}
-        frontier = deque([dst.node_id])
+        per_tor: Dict[int, List[Tuple[Switch, List[int]]]] = {}
+        for host in self.hosts:
+            uplink = host.port
+            if uplink is None or uplink.down or not isinstance(uplink.peer, Switch):
+                continue  # no switch can reach this host
+            tor = uplink.peer
+            hops = per_tor.get(tor.node_id)
+            if hops is None:
+                hops = per_tor[tor.node_id] = self._next_hops_to(tor)
+            down_idx = uplink.peer_in_idx  # the ToR's port on this link
+            if not tor.ports[down_idx].down:
+                tor.routes[host.node_id] = [down_idx]
+            for switch, next_hops in hops:
+                switch.routes[host.node_id] = list(next_hops)
+
+    def _next_hops_to(self, tor: Switch) -> List[Tuple[Switch, List[int]]]:
+        """BFS from ``tor``; for every other switch that reaches it, the
+        indices of its ports toward ``tor`` on a shortest path."""
+        dist: Dict[int, int] = {tor.node_id: 0}
+        frontier = deque([tor.node_id])
         while frontier:
             nid = frontier.popleft()
             for port, peer in self._adj[nid]:
@@ -130,18 +154,21 @@ class Network:
                 if peer.node_id not in dist:
                     dist[peer.node_id] = dist[nid] + 1
                     frontier.append(peer.node_id)
+        table = []
         for switch in self.switches:
-            if switch.node_id not in dist:
+            d = dist.get(switch.node_id)
+            if d is None or switch is tor:
                 continue
-            best = dist[switch.node_id] - 1
-            next_hops: List[int] = []
-            for idx, (port, peer) in enumerate(self._adj[switch.node_id]):
-                if port.down:
-                    continue
-                if dist.get(peer.node_id, 1 << 30) == best:
-                    next_hops.append(self._port_index(switch, port))
+            best = d - 1
+            # adjacency order is port order: connect() adds both together
+            next_hops = [
+                idx
+                for idx, (port, peer) in enumerate(self._adj[switch.node_id])
+                if not port.down and dist.get(peer.node_id, -1) == best
+            ]
             if next_hops:
-                switch.routes[dst.node_id] = next_hops
+                table.append((switch, next_hops))
+        return table
 
     @staticmethod
     def _port_index(switch: Switch, port: Port) -> int:
@@ -246,9 +273,8 @@ class Network:
         """Recompute ECMP tables, excluding links that are down."""
         for switch in self.switches:
             switch.routes.clear()
-            switch._route_cache.clear()
-        for host in self.hosts:
-            self._build_routes_to(host)
+            switch.invalidate_routes()
+        self._build_host_routes()
 
     def total_drops(self) -> int:
         return sum(s.drops for s in self.switches)

@@ -10,12 +10,13 @@ accounting is released at that point (start-of-transmission freeing, the
 convention used by ns-3's qbb model).
 
 Hot-path design (see docs/PERFORMANCE.md): starting a transmission at ``t0``
-schedules the peer's ``receive`` directly at ``t2 = t0 + tx + prop`` as one
-fused, allocation-free event (:meth:`Simulator.call_at`) instead of chaining
-``_tx_done`` at ``t1 = t0 + tx`` into a second ``receive`` event.  The ``t1``
-end-of-transmission wake-up remains (it frees the port and re-arms the
-scheduler) but is also allocation-free, so a packet hop costs two bare heap
-tuples and zero ``EventHandle`` objects.
+pushes two bare heap tuples — the peer's ``receive`` at ``t2 = t0 + tx +
+prop`` and the end-of-transmission wake-up at ``t1 = t0 + tx``, which frees
+the port and re-arms the scheduler — so a packet hop costs zero
+``EventHandle`` objects.  Both callables are bound once (``_deliver`` at
+:meth:`connect`, ``_wake`` at construction).  A switch forwarding onto an idle,
+empty port calls :meth:`Port.start_tx` itself (see
+:meth:`repro.sim.switch.Switch.receive`), so the packet never enters a queue.
 
 PFC/cut semantics are unchanged: a pause or ``cut()`` landing between
 start-of-tx and delivery still only gates the *next* dequeue (the in-flight
@@ -26,6 +27,7 @@ always run at dequeue time.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 from ..obs.sampler import NULL_SAMPLER
@@ -39,10 +41,6 @@ __all__ = ["Port"]
 
 class Port:
     """Egress port: priority queues + strict-priority scheduler + one link."""
-
-    #: class-level switch used by tests/benchmarks to compare the fused
-    #: delivery schedule against the classic two-step (deliver from t1)
-    FUSED = True
 
     __slots__ = (
         "sim",
@@ -60,6 +58,8 @@ class Port:
         "prop_delay_ns",
         "peer",
         "peer_in_idx",
+        "_deliver",
+        "_wake",
         "ecn_k",
         "tx_bytes_total",
         "tx_packets_total",
@@ -104,6 +104,9 @@ class Port:
         self.prop_delay_ns = 0
         self.peer = None  # receiving node
         self.peer_in_idx = 0  # index of this link at the peer's ingress
+        #: ``peer.receive`` and ``self._tx_wake``, bound once for the heap
+        self._deliver = None
+        self._wake = self._tx_wake
         #: per-queue ECN marking threshold in bytes (None disables marking)
         self.ecn_k = ecn_k
         self.tx_bytes_total = 0
@@ -156,6 +159,7 @@ class Port:
         self.peer = peer
         self.prop_delay_ns = int(prop_delay_ns)
         self.peer_in_idx = peer_in_idx
+        self._deliver = peer.receive
 
     def tx_time_ns(self, size_bytes: int) -> int:
         """Serialisation time, memoised per size (MTU/ACK sizes dominate)."""
@@ -197,11 +201,6 @@ class Port:
             "tx_packets_total": self.tx_packets_total,
         }
 
-    def queue_index(self, pkt: Packet) -> int:
-        if self.local_queues and pkt.local_prio >= 0:
-            return min(pkt.local_prio, self.n_queues - 1)
-        return pkt.priority
-
     def enqueue(self, pkt: Packet, ctx: Any = None) -> None:
         """Queue a packet for transmission (admission already decided).
 
@@ -216,14 +215,9 @@ class Port:
             q = pkt.priority
         size = pkt.size
         qbytes = self.qbytes
-        marked = False
-        if self.ecn_marker is not None:
-            if self.ecn_marker(pkt, qbytes[q]):
-                pkt.ecn = True
-                marked = True
-        elif self.ecn_k is not None and qbytes[q] + size > self.ecn_k:
-            pkt.ecn = True
-            marked = True
+        marked = (self.ecn_marker is not None or self.ecn_k is not None) and self.ecn_mark(
+            pkt, qbytes[q]
+        )
         pkt.ctx = ctx
         self.queues[q].append(pkt)
         self._active |= 1 << q
@@ -241,6 +235,21 @@ class Port:
             trc.enqueued(pkt.trace, self.name, q, self.sim.now)
         if not self.busy:
             self._kick()
+
+    def ecn_mark(self, pkt: Packet, queued_bytes: int) -> bool:
+        """Mark ``pkt`` CE if it joins a queue holding ``queued_bytes``.
+
+        The custom :attr:`ecn_marker` overrides the ``ecn_k`` threshold.
+        Callers skip the call when neither is set.
+        """
+        marker = self.ecn_marker
+        if marker is not None:
+            hit = marker(pkt, queued_bytes)
+        else:
+            hit = queued_bytes + pkt.size > self.ecn_k
+        if hit:
+            pkt.ecn = True
+        return hit
 
     def set_paused(self, prio: int, paused: bool) -> None:
         """PFC pause/resume for one *physical* priority class."""
@@ -261,21 +270,6 @@ class Port:
             self._kick()
 
     # ------------------------------------------------------------------
-    def _select_queue(self) -> int:
-        """Highest non-empty queue whose head's physical class isn't paused."""
-        queues = self.queues
-        paused = self.paused
-        n_paused = len(paused)
-        for q in range(self.n_queues - 1, -1, -1):
-            queue = queues[q]
-            if not queue:
-                continue
-            phys = queue[0].priority
-            if phys < n_paused and paused[phys]:
-                continue
-            return q
-        return -1
-
     def cut(self) -> int:
         """Take the link down, dropping everything queued (a fibre cut).
 
@@ -346,7 +340,7 @@ class Port:
     def _kick(self) -> None:
         if self.down or not self.total_bytes:
             return
-        # inline _select_queue over the non-empty bitmask: highest queue whose
+        # strict priority over the non-empty bitmask: the highest queue whose
         # head's physical class isn't paused
         queues = self.queues
         paused = self.paused
@@ -370,12 +364,7 @@ class Port:
         qbytes[q] -= size
         total = self.total_bytes = self.total_bytes - size
         self.busy = True
-        sim = self.sim
-        now = sim.now
-        cache = self._tx_cache
-        tx = cache.get(size)
-        if tx is None:
-            tx = cache[size] = max(1, int(size * self._ns_per_byte))
+        now = self.sim.now
         tel = self.telemetry
         if tel.enabled:
             tel.queue_depth(now, self.name, q, qbytes[q], total)
@@ -384,50 +373,56 @@ class Port:
             pkt.int_hops.append(IntHop(total, self.tx_bytes_total, now, self.rate_bps))
         if self.on_dequeue is not None:
             self.on_dequeue(pkt, pkt.ctx)
+        self.start_tx(pkt, size, now)
+
+    def start_tx(self, pkt: Packet, size: int, now: int) -> None:
+        """Put a dequeued packet on the wire at ``now``.
+
+        Counts it, then pushes two bare heap tuples: the delivery at ``t2 =
+        now + tx + prop`` and the end-of-transmission wake-up at ``t1 = now
+        + tx``.  The caller has already marked the port busy and released
+        the packet's buffer charge.
+        """
         self.tx_bytes_total += size
         self.tx_packets_total += 1
+        try:
+            tx = self._tx_cache[size]
+        except KeyError:
+            tx = self.tx_time_ns(size)
         t1 = now + tx
-        if self.FUSED:
-            peer = self.peer
-            if peer is None:
-                raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
-            t2 = t1 + self.prop_delay_ns
-            imp = self.impairment
-            if imp is not None:
-                # degraded link: the packet still occupies the wire for its
-                # full serialisation time, but may be corrupted (never
-                # delivered) or delivered late (delay spike)
-                t2 = imp.transmit(t2)
-                if t2 < 0:
-                    aud = self.audit
-                    if aud.enabled:
-                        aud.packet_corrupted(pkt.size)
-                    trc = self.tracer
-                    if trc.enabled and pkt.trace is not None:
-                        trc.start_tx(pkt.trace, now, tx, 0, pkt.priority)
-                        trc.finish(pkt.trace, t1, "corrupted")
-                    PACKET_POOL.release(pkt)
-                    sim.call_at(t1, self._tx_wake)
-                    return
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                # prop is measured t2 - t1 so impairment delay spikes land in
-                # the propagation component and spans keep summing to e2e
-                trc.start_tx(pkt.trace, now, tx, t2 - t1, pkt.priority)
-            # fused: delivery at t2 scheduled up front, wake-up frees the port
-            sim.call_at2(
-                t2,
-                peer.receive,
-                (pkt, self.peer_in_idx),
-                t1,
-                self._tx_wake,
-                (),
-            )
-        else:
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                trc.start_tx(pkt.trace, now, tx, self.prop_delay_ns, pkt.priority)
-            sim.call_after(tx, self._tx_done, pkt)
+        deliver = self._deliver
+        if deliver is None:
+            raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
+        t2 = t1 + self.prop_delay_ns
+        sim = self.sim
+        imp = self.impairment
+        if imp is not None:
+            # degraded link: the packet still occupies the wire for its
+            # full serialisation time, but may be corrupted (never
+            # delivered) or delivered late (delay spike)
+            t2 = imp.transmit(t2)
+            if t2 < 0:
+                aud = self.audit
+                if aud.enabled:
+                    aud.packet_corrupted(pkt.size)
+                trc = self.tracer
+                if trc.enabled and pkt.trace is not None:
+                    trc.start_tx(pkt.trace, now, tx, 0, pkt.priority)
+                    trc.finish(pkt.trace, t1, "corrupted")
+                PACKET_POOL.release(pkt)
+                sim.call_at(t1, self._wake)
+                return
+        trc = self.tracer
+        if trc.enabled and pkt.trace is not None:
+            # prop is measured t2 - t1 so impairment delay spikes land in
+            # the propagation component and spans keep summing to e2e
+            trc.start_tx(pkt.trace, now, tx, t2 - t1, pkt.priority)
+        seq = sim._seq
+        sim._seq = seq + 2
+        sim._live += 2
+        heap = sim._heap
+        heappush(heap, (t2, seq + 1, deliver, (pkt, self.peer_in_idx)))
+        heappush(heap, (t1, seq + 2, self._wake, ()))
 
     def _tx_wake(self) -> None:
         """End-of-transmission: free the port and re-arm the scheduler."""
@@ -435,37 +430,5 @@ class Port:
         tel = self.telemetry
         if tel.enabled and not self.down:
             tel.link(self.sim.now, self.name, False)
-        self._kick()
-
-    def _tx_done(self, pkt: Packet) -> None:
-        """Classic two-step end-of-tx (``FUSED = False`` debug mode)."""
-        peer = self.peer
-        if peer is None:
-            raise RuntimeError(f"{self.name}: transmitting on an unconnected port")
-        sim = self.sim
-        imp = self.impairment
-        if imp is not None:
-            t2 = imp.transmit(sim.now + self.prop_delay_ns)
-            trc = self.tracer
-            if t2 < 0:
-                aud = self.audit
-                if aud.enabled:
-                    aud.packet_corrupted(pkt.size)
-                if trc.enabled and pkt.trace is not None:
-                    if pkt.trace.hops:
-                        pkt.trace.hops[-1].prop_ns = 0
-                    trc.finish(pkt.trace, sim.now, "corrupted")
-                PACKET_POOL.release(pkt)
-            else:
-                if trc.enabled and pkt.trace is not None and pkt.trace.hops:
-                    # _kick recorded the nominal propagation delay; correct it
-                    # for the impairment so spans still sum to e2e
-                    pkt.trace.hops[-1].prop_ns = t2 - sim.now
-                sim.call_at(t2, peer.receive, pkt, self.peer_in_idx)
-        else:
-            sim.call_after(self.prop_delay_ns, peer.receive, pkt, self.peer_in_idx)
-        self.busy = False
-        tel = self.telemetry
-        if tel.enabled and not self.down:
-            tel.link(sim.now, self.name, False)
-        self._kick()
+        if self.total_bytes:
+            self._kick()

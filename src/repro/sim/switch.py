@@ -7,7 +7,7 @@ from typing import Callable, Dict, List, Optional
 from ..obs.tracer import NULL_TRACER
 from .buffer import SharedBuffer
 from .engine import Simulator
-from .packet import PACKET_POOL, Packet
+from .packet import PACKET_POOL, IntHop, Packet
 from .pfc import PfcConfig, PfcIngressState
 from .port import Port
 
@@ -81,9 +81,9 @@ class Switch:
         "routes",
         "buffer",
         "_pfc",
-        "_pfc_on",
         "_n_lossless",
         "_nq",
+        "_egress",
         "_route_cache",
         "_dead",
         "_pfc_pauses_archived",
@@ -109,13 +109,14 @@ class Switch:
         #: (in_idx * n_queues + prio) -> pause state; int keys keep the
         #: per-packet lookup free of tuple construction
         self._pfc: Dict[int, PfcIngressState] = {}
-        # hoisted per-packet config reads
-        self._pfc_on = cfg.pfc.enabled
-        self._n_lossless = cfg.n_lossless
+        # hoisted per-packet config reads: priorities below _n_lossless are
+        # PFC-protected (none when PFC is off)
+        self._n_lossless = cfg.n_lossless if cfg.pfc.enabled else 0
         self._nq = cfg.n_queues
-        #: (dst, flow_id, salt) -> egress index; ecmp_hash is pure, routes are
-        #: fixed after topology build, so the pick per flow never changes
-        self._route_cache: Dict[tuple, int] = {}
+        #: memoised egress ports (see _route): dst -> port for destinations
+        #: with one route, (dst, flow_id, salt) -> port for ECMP picks
+        self._egress: Dict[int, Port] = {}
+        self._route_cache: Dict[tuple, Port] = {}
         #: mid-reboot: every arriving frame dies at the dark port
         self._dead = False
         self._pfc_pauses_archived = 0
@@ -182,54 +183,39 @@ class Switch:
     # data path
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet, in_idx: int) -> None:
+        """Admit, account and forward one arriving packet.
+
+        When the egress port is idle and empty and the packet's class is not
+        paused, the packet starts transmitting here: the queue that
+        :meth:`Port.enqueue` would push it through is empty, so it skips the
+        round trip.  Every side effect (ECN, telemetry, tracer, INT stamp,
+        buffer and PFC release, the delivery and wake-up events) happens in
+        the order the queued path (:meth:`Port.enqueue` then ``Port._kick``)
+        produces it.  Admission, the PFC counters and the buffer release
+        stay calls into :class:`SharedBuffer` and :class:`PfcIngressState`,
+        which own those decisions and their hooks.
+        """
         if self._dead:
             # frames already on the wire when the switch went down arrive at
             # a dark port and are lost (see :meth:`reboot`)
-            self.drops += 1
-            if self.buffer is not None:
-                self.buffer.record_drop(pkt.size, pkt.priority, "switch_dead")
-            aud = self.audit
-            if aud.enabled:
-                aud.packet_dropped("switch_dead", pkt.size)
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                trc.finish(pkt.trace, self.sim.now, "dropped:switch_dead")
-            PACKET_POOL.release(pkt)
+            self._drop(pkt, "switch_dead")
             return
-        try:
-            routes = self.routes[pkt.dst]
-        except KeyError:
-            raise RuntimeError(f"{self.name}: no route to node {pkt.dst}") from None
-        if len(routes) == 1:
-            out_idx = routes[0]
-        else:
+        port = self._egress.get(pkt.dst)
+        if port is None:
             rkey = (pkt.dst, pkt.flow_id, pkt.hash_salt)
-            try:
-                out_idx = self._route_cache[rkey]
-            except KeyError:
-                out_idx = routes[
-                    ecmp_hash(pkt.flow_id, self.node_id, pkt.hash_salt) % len(routes)
-                ]
-                self._route_cache[rkey] = out_idx
-        port = self.ports[out_idx]
+            port = self._route_cache.get(rkey)
+            if port is None:
+                port = self._route(pkt, rkey)
         if port.down:
             # routes still point at a dead interface (the detection window
             # before reconvergence): the frame blackholes here — parking it
             # on a port that cannot drain would freeze the fabric via PFC
-            self.drops += 1
-            self.buffer.record_drop(pkt.size, pkt.priority, "blackhole")
-            aud = self.audit
-            if aud.enabled:
-                aud.packet_dropped("blackhole", pkt.size)
-            trc = self.tracer
-            if trc.enabled and pkt.trace is not None:
-                trc.finish(pkt.trace, self.sim.now, "dropped:blackhole")
-            PACKET_POOL.release(pkt)
+            self._drop(pkt, "blackhole")
             return
 
         prio = pkt.priority
         size = pkt.size
-        lossless = self._pfc_on and prio < self._n_lossless
+        lossless = prio < self._n_lossless
         buf = self.buffer
         from_headroom = 0
         if not buf.try_admit_shared(port.qbytes[prio], size):
@@ -238,35 +224,87 @@ class Switch:
             else:
                 # one packet, one drop — the reason is the pool that made the
                 # final call (headroom for lossless traffic, shared otherwise)
-                reason = "buffer_headroom" if lossless else "buffer_shared"
-                buf.record_drop(size, prio, reason)
-                self.drops += 1
-                aud = self.audit
-                if aud.enabled:
-                    aud.packet_dropped(reason, size)
-                trc = self.tracer
-                if trc.enabled and pkt.trace is not None:
-                    trc.finish(pkt.trace, self.sim.now, "dropped:" + reason)
-                PACKET_POOL.release(pkt)
+                self._drop(pkt, "buffer_headroom" if lossless else "buffer_shared")
                 return
         if lossless:
-            key = in_idx * self._nq + prio
-            state = self._pfc.get(key)
-            if state is None:
+            try:
+                state = self._pfc[in_idx * self._nq + prio]
+            except KeyError:
                 state = self._pfc_state(in_idx, prio)
             state.on_enqueue(size)
         self.forwarded += 1
-        # ctx packs (in_idx, from_headroom) into one int: in_idx << 1 | flag
-        port.enqueue(pkt, in_idx << 1 | from_headroom)
+        if port.busy or port.total_bytes or port.paused[prio]:
+            # ctx packs (in_idx, from_headroom) into one int: in_idx << 1 | flag
+            port.enqueue(pkt, in_idx << 1 | from_headroom)
+            return
+
+        # idle, empty port: enqueue and dequeue collapse into one step
+        now = self.sim.now
+        marked = (port.ecn_marker is not None or port.ecn_k is not None) and port.ecn_mark(pkt, 0)
+        tel = port.telemetry
+        if tel.enabled:
+            if marked:
+                tel.ecn_mark(now, port.name, prio)
+            tel.queue_depth(now, port.name, prio, size, size)
+        trc = port.tracer
+        if trc.enabled and pkt.trace is not None:
+            trc.enqueued(pkt.trace, port.name, prio, now)
+        port.busy = True
+        if tel.enabled:
+            tel.queue_depth(now, port.name, prio, 0, 0)
+            tel.link(now, port.name, True)
+        if port.stamp_int and pkt.int_hops is not None:
+            pkt.int_hops.append(IntHop(0, port.tx_bytes_total, now, port.rate_bps))
+        buf.release(size, from_headroom)
+        if lossless:
+            state.on_dequeue(size)
+        port.start_tx(pkt, size, now)
+
+    def _route(self, pkt: Packet, rkey: tuple) -> Port:
+        """Resolve and memoise the egress port for a cache miss.
+
+        ``ecmp_hash`` is pure, and whoever changes ``routes`` calls
+        :meth:`invalidate_routes` (``Network`` does on every build), so the
+        pick per destination (one route) or per ``(dst, flow_id, salt)``
+        (ECMP) holds until then.
+        """
+        try:
+            routes = self.routes[pkt.dst]
+        except KeyError:
+            raise RuntimeError(f"{self.name}: no route to node {pkt.dst}") from None
+        if len(routes) == 1:
+            port = self._egress[pkt.dst] = self.ports[routes[0]]
+        else:
+            pick = ecmp_hash(pkt.flow_id, self.node_id, pkt.hash_salt) % len(routes)
+            port = self._route_cache[rkey] = self.ports[routes[pick]]
+        return port
+
+    def invalidate_routes(self) -> None:
+        """Forget the memoised egress picks (after routes change or a reboot)."""
+        self._egress.clear()
+        self._route_cache.clear()
+
+    def _drop(self, pkt: Packet, reason: str) -> None:
+        """Count, report and free one packet this switch refuses."""
+        self.drops += 1
+        if self.buffer is not None:
+            self.buffer.record_drop(pkt.size, pkt.priority, reason)
+        aud = self.audit
+        if aud.enabled:
+            aud.packet_dropped(reason, pkt.size)
+        trc = self.tracer
+        if trc.enabled and pkt.trace is not None:
+            trc.finish(pkt.trace, self.sim.now, "dropped:" + reason)
+        PACKET_POOL.release(pkt)
 
     def _on_port_dequeue(self, pkt: Packet, ctx: int) -> None:
         prio = pkt.priority
         self.buffer.release(pkt.size, ctx & 1)
-        if self._pfc_on and prio < self._n_lossless:
+        if prio < self._n_lossless:
             in_idx = ctx >> 1
-            key = in_idx * self._nq + prio
-            state = self._pfc.get(key)
-            if state is None:
+            try:
+                state = self._pfc[in_idx * self._nq + prio]
+            except KeyError:
                 state = self._pfc_state(in_idx, prio)
             state.on_dequeue(pkt.size)
 
@@ -342,7 +380,7 @@ class Switch:
                 state.send_signal(False)
         self._pfc_pauses_archived += sum(s.pauses_sent for s in self._pfc.values())
         self._pfc.clear()
-        self._route_cache.clear()
+        self.invalidate_routes()
         for port in self.ports:
             # PAUSE state asserted against this switch dies with it too
             for prio in range(len(port.paused)):

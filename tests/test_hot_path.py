@@ -208,20 +208,6 @@ def test_run_until_between_tx_end_and_delivery():
     assert sim.now == 600
 
 
-def test_fused_and_classic_modes_agree(monkeypatch):
-    def deliveries():
-        sim, port, sink = make_port()
-        for i in range(4):
-            port.enqueue(pkt(size=200 + 100 * i, seq=i, prio=i % 2))
-        sim.run()
-        return [(p.seq, sim.now) for p, _ in sink.received], sim.events_processed
-
-    fused, _ = deliveries()
-    monkeypatch.setattr(Port, "FUSED", False)
-    classic, _ = deliveries()
-    assert fused == classic
-
-
 # ----------------------------------------------------------------------
 # satellite: set_paused range validation
 # ----------------------------------------------------------------------

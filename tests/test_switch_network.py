@@ -228,3 +228,74 @@ def test_star_bottleneck_is_receiver_link():
     net, senders, recv = star(sim, 3, rate_bps=10e9)
     for s in senders:
         assert net.bottleneck_rate_bps(s, recv) == 10e9
+
+
+# ----------------------------------------------------------------------
+# route tables: one BFS per ToR equals one BFS per host
+# ----------------------------------------------------------------------
+def _per_host_bfs_routes(net):
+    """Reference tables: a BFS from every host, all shortest next hops kept,
+    links whose egress port is down excluded."""
+    from collections import deque
+
+    tables = {sw.node_id: {} for sw in net.switches}
+    for dst in net.hosts:
+        dist = {dst.node_id: 0}
+        frontier = deque([dst.node_id])
+        while frontier:
+            nid = frontier.popleft()
+            for port, peer in net._adj[nid]:
+                if not port.down and peer.node_id not in dist:
+                    dist[peer.node_id] = dist[nid] + 1
+                    frontier.append(peer.node_id)
+        for sw in net.switches:
+            if sw.node_id not in dist:
+                continue
+            best = dist[sw.node_id] - 1
+            hops = [
+                net._port_index(sw, port)
+                for port, peer in net._adj[sw.node_id]
+                if not port.down and dist.get(peer.node_id, 1 << 30) == best
+            ]
+            if hops:
+                tables[sw.node_id][dst.node_id] = hops
+    return tables
+
+
+def _assert_routes_match_reference(net):
+    expected = _per_host_bfs_routes(net)
+    for sw in net.switches:
+        assert sw.routes == expected[sw.node_id], sw.name
+        # same insertion order too: destinations host by host
+        assert list(sw.routes) == list(expected[sw.node_id]), sw.name
+
+
+@pytest.mark.parametrize("build", ["fat_tree_k4", "paper_fabric"])
+def test_routes_equal_per_host_bfs(build):
+    from repro.topology import paper_fabric
+
+    sim = Simulator()
+    if build == "fat_tree_k4":
+        net, hosts = fat_tree(sim, k=4, rate_bps=10e9)
+    else:
+        net, hosts = paper_fabric(sim)
+    _assert_routes_match_reference(net)
+
+    # a cut agg-core link, then reconvergence
+    path = net.path_ports(hosts[0], hosts[-1])
+    agg = path[1].peer
+    net.set_link_state(agg, path[2].peer, up=False)
+    net.rebuild_routes()
+    _assert_routes_match_reference(net)
+
+    # a cut host link, then a single direction down each way: the ToR's own
+    # entry and reachability of the host both follow the per-host BFS
+    net.set_link_state(hosts[1], hosts[1].port.peer, up=False)
+    hosts[2].port.cut()  # host -> ToR: nothing reaches hosts[2]
+    tor3 = hosts[3].port.peer
+    tor3.ports[hosts[3].port.peer_in_idx].cut()  # ToR -> host only
+    net.rebuild_routes()
+    _assert_routes_match_reference(net)
+    assert all(hosts[2].node_id not in sw.routes for sw in net.switches)
+    assert hosts[3].node_id not in tor3.routes
+    assert any(hosts[3].node_id in sw.routes for sw in net.switches)
