@@ -51,9 +51,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from typing import Callable, Dict
 
-from . import api
+from . import api, probes
 from .client import ServeError
 from .experiments.common import REGISTRY
 from .obs import (
@@ -61,17 +62,12 @@ from .obs import (
     EngineProfiler,
     PacketTracer,
     TimeSeriesSampler,
-    set_default_inspector,
-    set_default_profiler,
-    set_default_sampler,
-    set_default_tracer,
 )
 from .runner import RunnerError, run_bench, write_bench
 from .runner.cache import json_safe
 from .telemetry import (
     JsonlEventStream,
     Recorder,
-    set_default_recorder,
     write_events_jsonl,
     write_perfetto,
 )
@@ -391,70 +387,60 @@ def main(argv=None) -> int:
         )
         args.jobs = 1
 
-    recorder = None
-    stream = None
+    recorder = tracer = inspector = sampler = profiler = None
     if args.trace or args.events or args.metrics:
         # event lists are only needed when a trace/event dump was requested
         recorder = Recorder(events=bool(args.trace or args.events))
-        set_default_recorder(recorder)
-        if args.events and not args.trace:
-            # no in-memory consumer: stream events to disk as they happen
-            stream = JsonlEventStream(recorder, args.events)
-    tracer = inspector = sampler = profiler = None
     if args.trace_packets:
         tracer = PacketTracer(sample_every=max(1, args.trace_every))
-        set_default_tracer(tracer)
     if args.inspect:
         inspector = ChannelInspector()
-        set_default_inspector(inspector)
     if args.sample:
         sampler = TimeSeriesSampler(stride_ns=max(1, args.sample_stride))
-        set_default_sampler(sampler)
     if args.profile:
         profiler = EngineProfiler()
-        set_default_profiler(profiler)
+    installs = {
+        "telemetry": recorder,
+        "tracer": tracer,
+        "inspector": inspector,
+        "sampler": sampler,
+        "profiler": profiler,
+    }
+    stream = None
     try:
-        if args.server:
-            def _remote_progress(point, source):
-                print(f"[serve] {args.experiment}: {point} ({source})",
-                      file=sys.stderr, flush=True)
+        with ExitStack() as stack:
+            for kind, probe in installs.items():
+                if probe is not None:
+                    stack.enter_context(probes.scope(kind, probe))
+            if recorder is not None and args.events and not args.trace:
+                # no in-memory consumer: stream events to disk as they happen
+                stream = JsonlEventStream(recorder, args.events)
+                stack.callback(stream.finalize)
+            if args.server:
+                def _remote_progress(point, source):
+                    print(f"[serve] {args.experiment}: {point} ({source})",
+                          file=sys.stderr, flush=True)
 
-            result = api.run(
-                args.experiment,
-                quick=args.quick,
-                server=args.server,
-                faults=args.faults,
-                audit=args.audit,
-                progress=_remote_progress if args.progress else False,
-            )
-        else:
-            result = api.run(
-                experiment,
-                jobs=args.jobs,
-                cache=args.cache,
-                progress=args.progress,
-                faults=args.faults,
-                audit=args.audit,
-            )
+                result = api.run(
+                    args.experiment,
+                    quick=args.quick,
+                    server=args.server,
+                    faults=args.faults,
+                    audit=args.audit,
+                    progress=_remote_progress if args.progress else False,
+                )
+            else:
+                result = api.run(
+                    experiment,
+                    jobs=args.jobs,
+                    cache=args.cache,
+                    progress=args.progress,
+                    faults=args.faults,
+                    audit=args.audit,
+                )
     except (RunnerError, ServeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if recorder is not None:
-            set_default_recorder(None)
-        if stream is not None:
-            stream.finalize()
-        if tracer is not None:
-            set_default_tracer(None)
-            tracer.finalize()
-        if inspector is not None:
-            set_default_inspector(None)
-        if sampler is not None:
-            set_default_sampler(None)
-            sampler.finalize()
-        if profiler is not None:
-            set_default_profiler(None)
-            profiler.finalize()
     if recorder is not None:
         if args.trace:
             n = write_perfetto(recorder, args.trace, tracer=tracer)

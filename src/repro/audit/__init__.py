@@ -2,9 +2,10 @@
 
 Usage::
 
-    from repro.audit import audit_scope
+    from repro import probes
+    from repro.audit import Auditor
 
-    with audit_scope("strict") as aud:
+    with probes.scope("audit", Auditor("strict")) as aud:
         sim = Simulator(seed=1)       # adopts the auditor
         ...build topology, run...
     assert aud.report.ok
@@ -17,12 +18,6 @@ from .auditor import (
     AuditReport,
     AuditViolation,
     Auditor,
-    NULL_AUDITOR,
-    NullAuditor,
-    audit_scope,
-    current_auditor,
-    default_auditor,
-    set_default_auditor,
 )
 
 __all__ = [
@@ -30,10 +25,4 @@ __all__ = [
     "AuditReport",
     "AuditViolation",
     "Auditor",
-    "NULL_AUDITOR",
-    "NullAuditor",
-    "audit_scope",
-    "current_auditor",
-    "default_auditor",
-    "set_default_auditor",
 ]

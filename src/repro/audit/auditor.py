@@ -12,7 +12,7 @@ flag::
         aud.packet_dropped("buffer_shared", size)
 
 Components snapshot ``sim.audit`` at construction time and :class:`Simulator`
-adopts the module default, so the disabled path costs a single attribute
+adopts the :mod:`repro.probes` default, so the disabled path costs one attribute
 check (and the engine's event loop is not touched at all — the audited loop
 is a separate method selected once per ``run()`` call).
 
@@ -42,7 +42,6 @@ byte-identical results to an unaudited one (pinned by the golden battery's
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -50,12 +49,6 @@ __all__ = [
     "AuditReport",
     "AuditViolation",
     "Auditor",
-    "NULL_AUDITOR",
-    "NullAuditor",
-    "audit_scope",
-    "current_auditor",
-    "default_auditor",
-    "set_default_auditor",
 ]
 
 #: drop reasons the ledger recognises (free-form strings are still accepted;
@@ -119,19 +112,6 @@ class AuditReport:
             "checks": dict(sorted(self.checks.items())),
             "ledger": self.ledger,
         }
-
-
-class NullAuditor:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullAuditor>"
-
-
-#: the process-wide disabled auditor (safe to share: it holds no state)
-NULL_AUDITOR = NullAuditor()
 
 
 class Auditor:
@@ -692,60 +672,3 @@ class Auditor:
         self._finalize_sims(t)
         self._finalize_ledger(t)
         return report
-
-
-# ----------------------------------------------------------------------
-# process-wide default auditor, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_AUDITOR
-
-
-def set_default_auditor(auditor) -> None:
-    """Install ``auditor`` as the default every new :class:`Simulator` (and
-    the process packet pool) adopts.  Pass ``None`` to restore the inert
-    :data:`NULL_AUDITOR`.  Install *before* building simulators/topologies:
-    components snapshot the auditor at construction time."""
-    global _default
-    _default = auditor if auditor is not None else NULL_AUDITOR
-    try:
-        from ..sim.packet import PACKET_POOL
-    except ImportError:  # pragma: no cover - during partial imports
-        return
-    PACKET_POOL.audit = _default
-    if isinstance(_default, Auditor):
-        _default.attach_pool(PACKET_POOL)
-
-
-def default_auditor():
-    """The auditor new simulators adopt (the null auditor when disabled)."""
-    return _default
-
-
-def current_auditor() -> Optional[Auditor]:
-    """The active default :class:`Auditor`, or ``None`` when auditing is off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
-@contextmanager
-def audit_scope(mode: str = "strict", **kwargs):
-    """Install a fresh :class:`Auditor` for the ``with`` block.
-
-    On clean exit the auditor is finalized (strict mode re-raises any
-    reconciliation failure) and the previous default is restored::
-
-        with audit_scope("strict") as aud:
-            sim = Simulator(seed=1)   # adopts aud
-            ...
-        assert aud.report.ok
-    """
-    prev = _default if _default is not NULL_AUDITOR else None
-    aud = Auditor(mode=mode, **kwargs)
-    set_default_auditor(aud)
-    try:
-        yield aud
-    except BaseException:
-        set_default_auditor(prev)
-        raise
-    else:
-        set_default_auditor(prev)
-        aud.finalize()

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..audit.auditor import NULL_AUDITOR
-from ..obs.inspector import NULL_INSPECTOR
-from ..telemetry.recorder import NULL_RECORDER
+from ..probes import OFF
 from ..transport.flow import AckInfo
 from .channels import ChannelConfig
 
@@ -109,9 +107,9 @@ class PrioPlusCC:
         self.relinquish_count = 0
         self.linear_start_steps = 0
         self.adaptive_increases = 0
-        self._tel = NULL_RECORDER
-        self._aud = NULL_AUDITOR
-        self._insp = NULL_INSPECTOR
+        self._tel = OFF
+        self._aud = OFF
+        self._insp = OFF
 
     # ------------------------------------------------------------------
     # window delegation: the sender reads PrioPlusCC.cwnd
@@ -131,8 +129,8 @@ class PrioPlusCC:
     # ------------------------------------------------------------------
     def attach(self, sender) -> None:
         self.sender = sender
-        self._tel = getattr(sender.sim, "telemetry", NULL_RECORDER)
-        self._aud = getattr(sender, "audit", NULL_AUDITOR)
+        self._tel = getattr(sender.sim, "telemetry", OFF)
+        self._aud = getattr(sender, "audit", OFF)
         self.inner.attach(sender)
         self.base_rtt = sender.base_rtt
         self.base_bdp = sender.bdp_bytes
@@ -154,7 +152,7 @@ class PrioPlusCC:
         self.inner.set_target_scaling(False)
         self._set_inner_target(self.d_target)
         self.w_ai_origin = self.inner.ai_bytes
-        insp = getattr(sender.sim, "inspector", NULL_INSPECTOR)
+        insp = getattr(sender.sim, "inspector", OFF)
         self._insp = insp
         if insp.enabled:
             flow = sender.flow

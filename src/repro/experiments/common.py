@@ -17,12 +17,11 @@ Every figure/table runner builds on three pieces:
 
 from __future__ import annotations
 
-import functools
 import importlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .. import probes
 from ..cc import D2tcp, Hpcc, Ledbat, NoCC, PowerTcp, Swift, SwiftParams
 from ..core import ChannelConfig, PrioPlusCC, StartTier
 from ..sim.engine import MICROSECOND, Simulator
@@ -30,7 +29,6 @@ from ..sim.host import Host
 from ..sim.network import Network
 from ..sim.pfc import PfcConfig
 from ..sim.switch import SwitchConfig
-from ..telemetry import current_recorder
 from ..transport.flow import Flow
 from ..transport.sender import FlowSender
 from ..workloads.generators import FlowSpec
@@ -54,7 +52,6 @@ __all__ = [
     "register",
     "get_experiment",
     "experiment_names",
-    "deprecated_alias",
 ]
 
 
@@ -488,32 +485,6 @@ get_experiment = REGISTRY.get
 experiment_names = REGISTRY.names
 
 
-def deprecated_alias(impl: Callable[..., object], experiment: str, name: Optional[str] = None):
-    """A deprecated public ``run_figX`` shim delegating to its impl function.
-
-    The historical per-figure ``run_figX()`` entry points predate the
-    experiment registry; the supported surface is ``repro.api.run(name)``
-    (or ``REGISTRY.get(name)`` + the runner).  These shims keep old call
-    sites working while steering them there via :class:`DeprecationWarning`.
-    """
-    alias = name or impl.__name__.lstrip("_")
-
-    @functools.wraps(impl)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"{alias}() is deprecated; use repro.api.run({experiment!r}) — the "
-            f"registered experiment runs the same code with caching, sharding "
-            f"and serving support",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    shim.__name__ = alias
-    shim.__qualname__ = alias
-    return shim
-
-
 # ----------------------------------------------------------------------
 # launching workloads
 # ----------------------------------------------------------------------
@@ -776,7 +747,7 @@ def telemetry_section() -> Optional[dict]:
     """Snapshot of the active flight recorder, or ``None`` when telemetry is
     off.  Experiments embed this in their result dicts so every run carries
     its own observability data (event counts + metrics)."""
-    rec = current_recorder()
+    rec = probes.active("telemetry")
     return rec.snapshot() if rec is not None else None
 
 

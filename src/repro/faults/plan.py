@@ -291,8 +291,8 @@ _default_plan: Optional[FaultPlan] = None
 def set_default_fault_plan(plan: Optional[FaultPlan]) -> None:
     """Install ``plan`` so every subsequently built Network arms it.
 
-    Pass ``None`` to disarm.  Mirrors ``telemetry.set_default_recorder``:
-    install *before* building topologies — arming happens inside
+    Pass ``None`` to disarm.  Like ``repro.probes.install``: install
+    *before* building topologies — arming happens inside
     ``Network.build_routes()``.
     """
     global _default_plan

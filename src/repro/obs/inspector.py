@@ -19,17 +19,10 @@ byte-identical (golden battery ``--obs inspect``).
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "ChannelInspector",
-    "NULL_INSPECTOR",
-    "NullInspector",
-    "current_inspector",
-    "default_inspector",
-    "inspect_scope",
-    "set_default_inspector",
 ]
 
 #: states in which a flow is actively pushing data into its channel
@@ -62,19 +55,6 @@ class _FlowRecord:
                 break
             state = s
         return state
-
-
-class NullInspector:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullInspector>"
-
-
-#: the process-wide disabled inspector (safe to share: it holds no state)
-NULL_INSPECTOR = NullInspector()
 
 
 class ChannelInspector:
@@ -244,39 +224,3 @@ class ChannelInspector:
     def write_report_json(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.report(), fh, indent=1, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# process-wide default inspector, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_INSPECTOR
-
-
-def set_default_inspector(inspector) -> None:
-    """Install ``inspector`` as the default every new :class:`Simulator`
-    adopts.  Pass ``None`` to restore the inert :data:`NULL_INSPECTOR`.
-    Install *before* building simulators/topologies."""
-    global _default
-    _default = inspector if inspector is not None else NULL_INSPECTOR
-
-
-def default_inspector():
-    """The inspector new simulators adopt (the null one when disabled)."""
-    return _default
-
-
-def current_inspector() -> Optional[ChannelInspector]:
-    """The active default :class:`ChannelInspector`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
-@contextmanager
-def inspect_scope(window_ns: int = 100_000, **kwargs):
-    """Install a fresh :class:`ChannelInspector` for the ``with`` block."""
-    prev = _default if _default is not NULL_INSPECTOR else None
-    insp = ChannelInspector(window_ns=window_ns, **kwargs)
-    set_default_inspector(insp)
-    try:
-        yield insp
-    finally:
-        set_default_inspector(prev)

@@ -13,31 +13,14 @@ stay byte-identical (golden battery ``--obs profile``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List
+
+from .. import probes
 
 __all__ = [
     "EngineProfiler",
-    "NULL_PROFILER",
-    "NullProfiler",
-    "current_profiler",
-    "default_profiler",
     "profile_scope",
-    "set_default_profiler",
 ]
-
-
-class NullProfiler:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullProfiler>"
-
-
-#: the process-wide disabled profiler (safe to share: it holds no state)
-NULL_PROFILER = NullProfiler()
 
 
 class EngineProfiler:
@@ -89,38 +72,6 @@ class EngineProfiler:
         return [(name, int(c), t) for name, (c, t) in ranked[:n]]
 
 
-# ----------------------------------------------------------------------
-# process-wide default profiler, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_PROFILER
-
-
-def set_default_profiler(profiler) -> None:
-    """Install ``profiler`` as the default every new :class:`Simulator`
-    adopts.  Pass ``None`` to restore the inert :data:`NULL_PROFILER`.
-    Install *before* building simulators/topologies."""
-    global _default
-    _default = profiler if profiler is not None else NULL_PROFILER
-
-
-def default_profiler():
-    """The profiler new simulators adopt (the null one when disabled)."""
-    return _default
-
-
-def current_profiler() -> Optional[EngineProfiler]:
-    """The active default :class:`EngineProfiler`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
-@contextmanager
-def profile_scope(**kwargs):
-    """Install a fresh :class:`EngineProfiler` for the ``with`` block."""
-    prev = _default if _default is not NULL_PROFILER else None
-    prof = EngineProfiler(**kwargs)
-    set_default_profiler(prof)
-    try:
-        yield prof
-    finally:
-        set_default_profiler(prev)
-        prof.finalize()
+def profile_scope():
+    """``probes.scope("profiler", EngineProfiler())``: profile the ``with`` block."""
+    return probes.scope("profiler", EngineProfiler())

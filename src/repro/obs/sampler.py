@@ -17,17 +17,10 @@ and counted, so long runs can't exhaust memory) and export as CSV or JSONL.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 __all__ = [
-    "NULL_SAMPLER",
-    "NullSampler",
     "TimeSeriesSampler",
-    "current_sampler",
-    "default_sampler",
-    "sample_scope",
-    "set_default_sampler",
 ]
 
 
@@ -51,19 +44,6 @@ class _Ring:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-class NullSampler:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullSampler>"
-
-
-#: the process-wide disabled sampler (safe to share: it holds no state)
-NULL_SAMPLER = NullSampler()
 
 
 class TimeSeriesSampler:
@@ -108,9 +88,6 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------
     # registration (components self-register at construction when enabled)
     # ------------------------------------------------------------------
-    def register_sim(self, sim) -> None:  # symmetry with the auditor; no-op
-        pass
-
     def register_port(self, port) -> None:
         self._ports.append(port)
 
@@ -266,40 +243,3 @@ class TimeSeriesSampler:
                 fh.write("\n")
             fh.flush()
         return len(rows)
-
-
-# ----------------------------------------------------------------------
-# process-wide default sampler, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_SAMPLER
-
-
-def set_default_sampler(sampler) -> None:
-    """Install ``sampler`` as the default every new :class:`Simulator`
-    adopts.  Pass ``None`` to restore the inert :data:`NULL_SAMPLER`.
-    Install *before* building simulators/topologies."""
-    global _default
-    _default = sampler if sampler is not None else NULL_SAMPLER
-
-
-def default_sampler():
-    """The sampler new simulators adopt (the null one when disabled)."""
-    return _default
-
-
-def current_sampler() -> Optional[TimeSeriesSampler]:
-    """The active default :class:`TimeSeriesSampler`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
-@contextmanager
-def sample_scope(stride_ns: int = 100_000, **kwargs):
-    """Install a fresh :class:`TimeSeriesSampler` for the ``with`` block."""
-    prev = _default if _default is not NULL_SAMPLER else None
-    smp = TimeSeriesSampler(stride_ns=stride_ns, **kwargs)
-    set_default_sampler(smp)
-    try:
-        yield smp
-    finally:
-        set_default_sampler(prev)
-        smp.finalize()

@@ -33,19 +33,12 @@ traffic created inside the receiver and are not sampled.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "HopRecord",
-    "NULL_TRACER",
-    "NullTracer",
     "PacketTrace",
     "PacketTracer",
-    "current_tracer",
-    "default_tracer",
-    "set_default_tracer",
-    "trace_scope",
 ]
 
 _HASH_A = 2654435761  # Knuth multiplicative hash constants
@@ -131,19 +124,6 @@ class PacketTrace:
             "disposition": self.disposition,
             "hops": [h.to_dict() for h in self.hops],
         }
-
-
-class NullTracer:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullTracer>"
-
-
-#: the process-wide disabled tracer (safe to share: it holds no state)
-NULL_TRACER = NullTracer()
 
 
 class PacketTracer:
@@ -313,50 +293,3 @@ class PacketTracer:
                 lines += 1
             fh.flush()
         return lines
-
-
-# ----------------------------------------------------------------------
-# process-wide default tracer, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_TRACER
-
-
-def set_default_tracer(tracer) -> None:
-    """Install ``tracer`` as the default every new :class:`Simulator` adopts.
-
-    Pass ``None`` to restore the inert :data:`NULL_TRACER`.  Install *before*
-    building simulators/topologies: components snapshot it at construction.
-    """
-    global _default
-    _default = tracer if tracer is not None else NULL_TRACER
-
-
-def default_tracer():
-    """The tracer new simulators adopt (the null tracer when disabled)."""
-    return _default
-
-
-def current_tracer() -> Optional[PacketTracer]:
-    """The active default :class:`PacketTracer`, or ``None`` when off."""
-    return _default if getattr(_default, "enabled", False) else None
-
-
-@contextmanager
-def trace_scope(sample_every: int = 16, **kwargs):
-    """Install a fresh :class:`PacketTracer` for the ``with`` block.
-
-    The tracer is finalized on exit and the previous default restored::
-
-        with trace_scope(sample_every=1) as trc:
-            sim = Simulator(seed=1)   # adopts trc
-            ...
-        breakdown = trc.traces[0].hops
-    """
-    prev = _default if _default is not NULL_TRACER else None
-    trc = PacketTracer(sample_every=sample_every, **kwargs)
-    set_default_tracer(trc)
-    try:
-        yield trc
-    finally:
-        set_default_tracer(prev)
-        trc.finalize()

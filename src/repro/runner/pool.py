@@ -33,16 +33,13 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Union
 
+from .. import probes
 from ..experiments.common import Experiment, Point
-from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
-from ..telemetry import current_recorder
+from ..faults.plan import FaultPlan, current_fault_plan
 from .cache import ResultCache, cache_key, json_safe
 from .scheduler import RunnerError, WorkerFleet, execute_point
 
 __all__ = ["RunnerError", "run_experiment"]
-
-# retained as aliases: these were importable from here before the scheduler split
-_execute_point = execute_point
 
 
 def _normalize(result: dict) -> dict:
@@ -54,7 +51,7 @@ class _Counters:
     """Thin veneer over the active recorder's metrics registry (or nothing)."""
 
     def __init__(self):
-        rec = current_recorder()
+        rec = probes.active("telemetry")
         self._metrics = rec.metrics if rec is not None else None
 
     def inc(self, name: str, n: int = 1) -> None:

@@ -30,16 +30,10 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional
 
-from ..audit import audit_scope
+from .. import probes
+from ..audit import Auditor
 from ..experiments.common import Experiment, Point
 from ..faults.plan import FaultPlan, current_fault_plan, set_default_fault_plan
-from ..obs import (
-    set_default_inspector,
-    set_default_profiler,
-    set_default_sampler,
-    set_default_tracer,
-)
-from ..telemetry import set_default_recorder
 
 __all__ = ["RunnerError", "WorkerFleet", "execute_point", "worker_init"]
 
@@ -49,15 +43,11 @@ class RunnerError(RuntimeError):
 
 
 def worker_init() -> None:
-    # Workers never trace: the parent's recorder (inherited on fork) would
-    # otherwise collect per-child data nobody can read back, and point
-    # runners that embed telemetry would poison the result cache.  The same
-    # goes for every introspection default from repro.obs.
-    set_default_recorder(None)
-    set_default_tracer(None)
-    set_default_inspector(None)
-    set_default_sampler(None)
-    set_default_profiler(None)
+    # Workers start with every probe off: a probe inherited on fork would
+    # collect per-child data nobody can read back, and point runners that
+    # embed telemetry would poison the result cache.  Per-point auditing
+    # installs its own fresh auditor (see execute_point).
+    probes.reset()
 
 
 def execute_point(
@@ -89,7 +79,7 @@ def execute_point(
             # strict mode raises AuditError at the violation site (or from
             # the end-of-scope finalize), failing the point like any other
             # exception
-            with audit_scope(audit_mode) as aud:
+            with probes.scope("audit", Auditor(audit_mode)) as aud:
                 result = exp.run_point(point)
     finally:
         if faults_dict is not None:

@@ -16,9 +16,7 @@ priorities — headroom is assumed to live outside the chip buffer.
 
 from __future__ import annotations
 
-from ..audit.auditor import default_auditor
-from ..obs.sampler import NULL_SAMPLER
-from ..telemetry.recorder import NULL_RECORDER
+from ..probes import OFF, active
 
 __all__ = ["SharedBuffer", "BufferStats"]
 
@@ -78,12 +76,12 @@ class SharedBuffer:
         self.headroom_used = 0
         self.stats = BufferStats()
         # telemetry binding (see bind_telemetry): unbound buffers stay silent
-        self.telemetry = NULL_RECORDER
+        self.telemetry = OFF
         self.sim = None
         self.name = ""
         # byte-reconciliation auditor; adopted from the process default so the
         # shadow ledger sees admits/releases even before bind_telemetry
-        self.audit = default_auditor()
+        self.audit = active("audit") or OFF
 
     def bind_telemetry(self, sim, name: str) -> None:
         """Attach a clock + identity so occupancy/drop events can be emitted.
@@ -98,9 +96,9 @@ class SharedBuffer:
             )
         self.sim = sim
         self.name = name
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
+        self.telemetry = getattr(sim, "telemetry", OFF)
         self.audit = getattr(sim, "audit", self.audit)
-        smp = getattr(sim, "sampler", NULL_SAMPLER)
+        smp = getattr(sim, "sampler", OFF)
         if smp.enabled:
             smp.register_buffer(self)
 

@@ -34,12 +34,7 @@ import random
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
-from ..audit.auditor import default_auditor
-from ..obs.inspector import default_inspector
-from ..obs.profiler import default_profiler
-from ..obs.sampler import default_sampler
-from ..obs.tracer import default_tracer
-from ..telemetry.recorder import default_recorder
+from .. import probes
 
 __all__ = ["Simulator", "EventHandle", "SECOND", "MILLISECOND", "MICROSECOND"]
 
@@ -101,24 +96,12 @@ class Simulator:
         self.events_processed = 0
         self._live = 0  # scheduled, not yet fired or cancelled
         self._cancelled = 0  # cancelled entries still polluting the heap
-        #: telemetry recorder adopted at construction (see repro.telemetry);
-        #: components snapshot this, keeping the disabled path to one check
-        self.telemetry = default_recorder()
-        #: invariant auditor adopted at construction (see repro.audit); the
-        #: audited run loop is selected once per run() call, so the audit-off
-        #: hot loop is byte-for-byte the one below
-        self.audit = default_auditor()
-        if self.audit.enabled:
-            self.audit.register_sim(self)
-        #: introspection subsystems adopted at construction (see repro.obs);
-        #: each is the inert null singleton unless explicitly installed, and
-        #: none of them ever schedules events or touches the RNG
-        self.tracer = default_tracer()
-        self.inspector = default_inspector()
-        self.sampler = default_sampler()
-        self.profiler = default_profiler()
-        if self.sampler.enabled:
-            self.sampler.register_sim(self)
+        #: one probe per kind in repro.probes.KINDS (``self.telemetry``,
+        #: ``self.audit``, ``self.tracer``, ...), probes.OFF unless installed.
+        #: Components snapshot these, keeping the disabled path to one check,
+        #: and run() selects the instrumented loop once per call, so the
+        #: probes-off hot loop is byte-for-byte the one below
+        probes.adopt(self)
         #: hybrid fluid/packet driver hook (see repro.fluid.hybrid); ``None``
         #: keeps the packet path byte-identical — senders check this single
         #: attribute at flow start and nowhere on the per-packet hot path

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..obs.tracer import NULL_TRACER
+from ..probes import OFF
 from .engine import Simulator
 from .packet import ACK, DATA, PACKET_POOL, PROBE, PROBE_ACK, Packet
 from .port import Port
@@ -49,7 +49,7 @@ class Host:
         self.rx_bytes = 0
         self.rx_packets = 0
         self.audit = sim.audit
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
+        self.tracer = getattr(sim, "tracer", OFF)
 
     #: host NIC queue count: room for 16 virtual priorities plus an ACK queue
     NIC_QUEUES = 18

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import Any, List, Optional, Tuple
 
-from ..audit.auditor import NULL_AUDITOR
+from ..probes import OFF
 
 __all__ = [
     "Packet",
@@ -164,8 +164,8 @@ class PacketPool:
         self.allocated = 0  # fresh constructions through acquire()
         self.reused = 0  # acquisitions served from the free list
         self.released = 0
-        #: set by repro.audit.set_default_auditor; feeds the conservation ledger
-        self.audit = NULL_AUDITOR
+        #: set by repro.probes.install("audit", ...); feeds the conservation ledger
+        self.audit = OFF
 
     def acquire(
         self,

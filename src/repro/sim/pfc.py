@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from ..audit.auditor import NULL_AUDITOR
-from ..telemetry.recorder import NULL_RECORDER
+from ..probes import OFF
 from .buffer import SharedBuffer
 from .engine import Simulator
 
@@ -80,8 +79,8 @@ class PfcIngressState:
         self.resumes_sent = 0
         #: (switch name, ingress index, priority) — telemetry identity
         self.key = key
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
-        self.audit = getattr(sim, "audit", NULL_AUDITOR)
+        self.telemetry = getattr(sim, "telemetry", OFF)
+        self.audit = getattr(sim, "audit", OFF)
 
     def _xoff(self) -> float:
         cfg = self.cfg

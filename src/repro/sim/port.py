@@ -30,9 +30,7 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, List, Optional
 
-from ..obs.sampler import NULL_SAMPLER
-from ..obs.tracer import NULL_TRACER
-from ..telemetry.recorder import NULL_RECORDER
+from ..probes import OFF
 from .engine import Simulator
 from .packet import PACKET_POOL, IntHop, Packet
 
@@ -131,15 +129,15 @@ class Port:
         #: single attribute check.
         self.impairment = None
         #: telemetry hook (see repro.telemetry); disabled path is one check
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
+        self.telemetry = getattr(sim, "telemetry", OFF)
         #: invariant auditor snapshot (see repro.audit)
         self.audit = sim.audit
         if self.audit.enabled:
             self.audit.register_port(self)
         #: causal packet tracer snapshot (see repro.obs.tracer); the untraced
         #: path is one flag check per hook site
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
-        smp = getattr(sim, "sampler", NULL_SAMPLER)
+        self.tracer = getattr(sim, "tracer", OFF)
+        smp = getattr(sim, "sampler", OFF)
         if smp.enabled:
             smp.register_port(self)
 

@@ -15,9 +15,8 @@ Why deep copy works here:
 * determinism never depends on object identity: heap order is decided by
   the integer ``(time, seq)`` prefix, and dict iteration order (insertion
   order) is preserved by ``deepcopy``;
-* the inert observability singletons (:data:`NULL_RECORDER` and friends)
-  are pinned in the deep-copy memo so clones share them instead of
-  dragging useless copies around — they hold no state by construction;
+* the inert probe :data:`repro.probes.OFF` copies to itself, so clones
+  share it instead of dragging useless copies around — it holds no state;
 * the process-wide :data:`PACKET_POOL` free list is intentionally *not*
   part of the world: cloned in-flight packets are distinct objects, and
   releasing them into the shared pool is safe (the pool guards against
@@ -48,10 +47,9 @@ from __future__ import annotations
 import copy
 from typing import Tuple
 
-__all__ = ["WorldSnapshot", "SnapshotHookError", "snapshot_world", "fork_world"]
+from ..probes import KINDS
 
-#: Simulator attributes that may carry live observability hooks.
-_HOOK_ATTRS = ("telemetry", "audit", "tracer", "inspector", "sampler", "profiler")
+__all__ = ["WorldSnapshot", "SnapshotHookError", "snapshot_world", "fork_world"]
 
 
 class SnapshotHookError(RuntimeError):
@@ -61,7 +59,7 @@ class SnapshotHookError(RuntimeError):
 def _check_hooks(sim) -> None:
     live = [
         name
-        for name in _HOOK_ATTRS
+        for name in KINDS
         if getattr(getattr(sim, name, None), "enabled", False)
     ]
     if live:
@@ -74,28 +72,6 @@ def _check_hooks(sim) -> None:
         )
 
 
-def _singleton_memo() -> dict:
-    """Deep-copy memo pre-seeded so null observability singletons stay shared."""
-    from ..audit.auditor import NULL_AUDITOR
-    from ..obs.inspector import NULL_INSPECTOR
-    from ..obs.profiler import NULL_PROFILER
-    from ..obs.sampler import NULL_SAMPLER
-    from ..obs.tracer import NULL_TRACER
-    from ..telemetry.recorder import NULL_RECORDER
-
-    memo = {}
-    for singleton in (
-        NULL_RECORDER,
-        NULL_AUDITOR,
-        NULL_TRACER,
-        NULL_INSPECTOR,
-        NULL_SAMPLER,
-        NULL_PROFILER,
-    ):
-        memo[id(singleton)] = singleton
-    return memo
-
-
 class WorldSnapshot:
     """Frozen copy of a simulator plus its reachable object graph."""
 
@@ -104,7 +80,7 @@ class WorldSnapshot:
     def __init__(self, sim, *roots, allow_hooks: bool = False):
         if not allow_hooks:
             _check_hooks(sim)
-        self._world = copy.deepcopy((sim, roots), _singleton_memo())
+        self._world = copy.deepcopy((sim, roots))
 
     def materialize(self) -> Tuple:
         """Return ``(sim, *roots)`` clones, independent and runnable.
@@ -113,7 +89,7 @@ class WorldSnapshot:
         number of times — each call is one fresh world at the captured
         instant.
         """
-        sim, roots = copy.deepcopy(self._world, _singleton_memo())
+        sim, roots = copy.deepcopy(self._world)
         return (sim,) + tuple(roots)
 
 
@@ -126,5 +102,5 @@ def fork_world(sim, *roots, allow_hooks: bool = False) -> Tuple:
     """One-shot snapshot+materialize: a single deep copy, returned directly."""
     if not allow_hooks:
         _check_hooks(sim)
-    sim2, roots2 = copy.deepcopy((sim, roots), _singleton_memo())
+    sim2, roots2 = copy.deepcopy((sim, roots))
     return (sim2,) + tuple(roots2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..obs.tracer import NULL_TRACER
+from ..probes import OFF
 from .buffer import SharedBuffer
 from .engine import Simulator
 from .packet import PACKET_POOL, IntHop, Packet
@@ -132,7 +132,7 @@ class Switch:
         self.audit = sim.audit
         if self.audit.enabled:
             self.audit.register_switch(self)
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
+        self.tracer = getattr(sim, "tracer", OFF)
 
     # ------------------------------------------------------------------
     # topology wiring

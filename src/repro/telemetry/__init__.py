@@ -2,16 +2,13 @@
 
 Quick taste::
 
-    from repro import Simulator
-    from repro.telemetry import Recorder, set_default_recorder, write_perfetto
+    from repro import Simulator, probes
+    from repro.telemetry import Recorder, write_perfetto
 
-    rec = Recorder()
-    set_default_recorder(rec)       # BEFORE building simulators/topologies
-    try:
+    # install BEFORE building simulators/topologies
+    with probes.scope("telemetry", Recorder()) as rec:
         sim = Simulator(seed=1)     # adopts the recorder
         ...build topology, run...
-    finally:
-        set_default_recorder(None)
     write_perfetto(rec, "run.json")  # open in ui.perfetto.dev
     print(rec.snapshot()["metrics"]["counters"])
 
@@ -22,22 +19,12 @@ from .export import JsonlEventStream, to_perfetto, write_events_jsonl, write_per
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import (
     CHANNELS,
-    NULL_RECORDER,
-    NullRecorder,
     Recorder,
-    current_recorder,
-    default_recorder,
-    set_default_recorder,
 )
 
 __all__ = [
     "CHANNELS",
-    "NULL_RECORDER",
-    "NullRecorder",
     "Recorder",
-    "current_recorder",
-    "default_recorder",
-    "set_default_recorder",
     "Counter",
     "Gauge",
     "Histogram",

@@ -49,12 +49,7 @@ from .metrics import Gauge, MetricsRegistry
 
 __all__ = [
     "CHANNELS",
-    "NULL_RECORDER",
-    "NullRecorder",
     "Recorder",
-    "current_recorder",
-    "default_recorder",
-    "set_default_recorder",
 ]
 
 #: every event channel a :class:`Recorder` can populate
@@ -73,19 +68,6 @@ CHANNELS: Tuple[str, ...] = (
     "audit",
     "regime",
 )
-
-
-class NullRecorder:
-    """Inert stand-in installed by default; hook sites only read ``enabled``."""
-
-    enabled = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<NullRecorder>"
-
-
-#: the process-wide disabled recorder (safe to share: it holds no state)
-NULL_RECORDER = NullRecorder()
 
 
 class Recorder:
@@ -306,30 +288,3 @@ class Recorder:
         """Drop recorded events (metrics are kept)."""
         for evs in self.events.values():
             evs.clear()
-
-
-# ----------------------------------------------------------------------
-# process-wide default recorder, adopted by every new Simulator
-# ----------------------------------------------------------------------
-_default: object = NULL_RECORDER
-
-
-def set_default_recorder(recorder) -> None:
-    """Install ``recorder`` as the default every new :class:`Simulator` adopts.
-
-    Pass ``None`` to restore the inert :data:`NULL_RECORDER`.  Install the
-    recorder *before* building simulators/topologies: components snapshot it
-    at construction time.
-    """
-    global _default
-    _default = recorder if recorder is not None else NULL_RECORDER
-
-
-def default_recorder():
-    """The recorder new simulators adopt (the null recorder when disabled)."""
-    return _default
-
-
-def current_recorder() -> Optional[Recorder]:
-    """The active default :class:`Recorder`, or ``None`` when telemetry is off."""
-    return _default if getattr(_default, "enabled", False) else None

@@ -17,13 +17,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from ..obs.inspector import NULL_INSPECTOR
-from ..obs.sampler import NULL_SAMPLER
-from ..obs.tracer import NULL_TRACER
+from ..probes import OFF
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.packet import DATA, HEADER_BYTES, MIN_PACKET_BYTES, PACKET_POOL, PROBE, PROBE_ACK, Packet
-from ..telemetry.recorder import NULL_RECORDER
 from .flow import AckInfo, Flow
 from .receiver import FlowReceiver
 
@@ -58,11 +55,11 @@ class FlowSender:
         self.mtu = mtu
         self.noise = noise
         self.on_done = on_done
-        self.telemetry = getattr(sim, "telemetry", NULL_RECORDER)
+        self.telemetry = getattr(sim, "telemetry", OFF)
         self.audit = sim.audit
-        self.tracer = getattr(sim, "tracer", NULL_TRACER)
-        self.inspector = getattr(sim, "inspector", NULL_INSPECTOR)
-        smp = getattr(sim, "sampler", NULL_SAMPLER)
+        self.tracer = getattr(sim, "tracer", OFF)
+        self.inspector = getattr(sim, "inspector", OFF)
+        smp = getattr(sim, "sampler", OFF)
         if smp.enabled:
             smp.register_sender(self)
 

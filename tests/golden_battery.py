@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, List, Tuple
+from contextlib import ExitStack
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import probes
+from repro.audit import Auditor
 from repro.cc import Hpcc, Swift, SwiftParams
 from repro.cc.base import CongestionControl
 from repro.experiments.ablations import (
@@ -34,6 +37,7 @@ from repro.experiments.fig8_testbed import run_staircase
 from repro.experiments.fig10_micro import _run_fig10c
 from repro.experiments.common import Mode
 from repro.experiments.quickstart import run_quickstart
+from repro.obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampler
 from repro.sim.engine import Simulator
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
@@ -229,70 +233,87 @@ def run_battery() -> Dict[str, object]:
     return {name: json_safe(fn()) for name, fn in BATTERY}
 
 
-def run_battery_audited(mode: str = "strict") -> Tuple[Dict[str, object], Dict[str, dict]]:
-    """Run every scenario under a fresh :class:`repro.audit.Auditor`.
+#: --obs name -> (probe kind, fresh probe, introspection records it holds)
+OBS: Dict[str, Tuple[str, Callable[[], object], Callable[[object], int]]] = {
+    "trace": (
+        "tracer",
+        lambda: PacketTracer(sample_every=1),
+        lambda trc: trc.snapshot()["recorded"],
+    ),
+    "sample": (
+        "sampler",
+        lambda: TimeSeriesSampler(stride_ns=100_000),
+        lambda smp: smp.samples_taken,
+    ),
+    "profile": ("profiler", EngineProfiler, lambda prof: prof.events),
+    "inspect": (
+        "inspector",
+        ChannelInspector,
+        lambda insp: sum(len(rec["transitions"]) for rec in insp.report()["flows"].values()),
+    ),
+}
 
-    Returns ``(results, audit_reports)``.  The results must be byte-identical
-    to an unaudited run (the auditor must not feed back into the simulation);
-    ``tests/test_audit.py`` and the CI ``audit-smoke`` job pin both halves.
+
+def run_battery_probed(
+    audit: Optional[str] = None, obs: Sequence[str] = ()
+) -> Tuple[Dict[str, object], Dict[str, dict]]:
+    """Run every scenario with fresh probes live.
+
+    ``audit`` is an :class:`~repro.audit.Auditor` mode (``strict``/``warn``)
+    or ``None``; ``obs`` names any of :data:`OBS`.  Each scenario gets its
+    own probes, installed through :func:`repro.probes.scope`.  Returns
+    ``(results, stats)``: ``stats[name]`` maps each ``obs`` name to its
+    record count and, when audited, ``"audit"`` to the audit report.  The
+    results must be byte-identical to the committed goldens — a probe must
+    not feed back into the simulation.
     """
-    from repro.audit import audit_scope
     from repro.runner.cache import json_safe
 
-    results: Dict[str, object] = {}
-    reports: Dict[str, dict] = {}
-    for name, fn in BATTERY:
-        with audit_scope(mode) as aud:
-            results[name] = json_safe(fn())
-        reports[name] = aud.report.to_dict()
-    return results, reports
-
-
-#: the --obs modes and the scope each installs around every scenario
-_OBS_KINDS = ("trace", "sample", "profile", "inspect")
-
-
-def run_battery_obs(kind: str) -> Tuple[Dict[str, object], Dict[str, dict]]:
-    """Run every scenario with one ``repro.obs`` subsystem live.
-
-    ``kind`` is one of ``trace`` (packet tracer, sample_every=1), ``sample``
-    (time-series sampler), ``profile`` (engine self-profiler), ``inspect``
-    (PrioPlus channel inspector) or ``all`` (all four at once).  Returns
-    ``(results, obs_stats)``; the results must be byte-identical to the
-    committed goldens — introspection must not feed back into the simulation.
-    """
-    from contextlib import ExitStack
-
-    from repro.obs import inspect_scope, profile_scope, sample_scope, trace_scope
-    from repro.runner.cache import json_safe
-
-    kinds = _OBS_KINDS if kind == "all" else (kind,)
     results: Dict[str, object] = {}
     stats: Dict[str, dict] = {}
     for name, fn in BATTERY:
+        live = {o: OBS[o][1]() for o in obs}
+        aud = Auditor(audit) if audit else None
         with ExitStack() as stack:
-            row: Dict[str, object] = {}
-            if "trace" in kinds:
-                tracer = stack.enter_context(trace_scope(sample_every=1))
-            if "sample" in kinds:
-                sampler = stack.enter_context(sample_scope(stride_ns=100_000))
-            if "profile" in kinds:
-                profiler = stack.enter_context(profile_scope())
-            if "inspect" in kinds:
-                inspector = stack.enter_context(inspect_scope())
+            if aud is not None:
+                stack.enter_context(probes.scope("audit", aud))
+            for o, probe in live.items():
+                stack.enter_context(probes.scope(OBS[o][0], probe))
             results[name] = json_safe(fn())
-        if "trace" in kinds:
-            row["traced"] = tracer.snapshot()["recorded"]
-        if "sample" in kinds:
-            row["samples"] = sampler.samples_taken
-        if "profile" in kinds:
-            row["events_profiled"] = profiler.events
-        if "inspect" in kinds:
-            row["transitions"] = sum(
-                len(rec["transitions"]) for rec in inspector.report()["flows"].values()
-            )
+        row: Dict[str, object] = {o: OBS[o][2](probe) for o, probe in live.items()}
+        if aud is not None:
+            row["audit"] = aud.report.to_dict()
         stats[name] = row
     return results, stats
+
+
+def check_probed(audit: Optional[str], obs: Sequence[str]) -> int:
+    """Run the probed battery; fail on any audit violation or golden divergence."""
+    results, stats = run_battery_probed(audit, obs)
+    label = " ".join(
+        flag for flag in (audit and f"--audit={audit}", obs and f"--obs {','.join(obs)}") if flag
+    )
+    if audit:
+        bad = {n: row["audit"] for n, row in stats.items() if row["audit"]["violation_count"]}
+        if bad:
+            print(json.dumps(bad, indent=1))
+            print(f"AUDIT FAILED: violations in {sorted(bad)}")
+            return 1
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        golden = fh.read().rstrip("\n")
+    if canonical(results) != golden:
+        print(f"FAILED ({label}): results diverge from the committed goldens "
+              "(a probe fed back into the simulation)")
+        return 1
+    parts = [f"{len(results)} scenarios"]
+    if audit:
+        checks = sum(sum(row["audit"]["checks"].values()) for row in stats.values())
+        parts.append(f"{checks} audit checks, 0 violations")
+    if obs:
+        records = sum(row[o] for row in stats.values() for o in obs)
+        parts.append(f"{records} introspection records")
+    print(f"OK ({label}): {', '.join(parts)}, results byte-identical to goldens")
+    return 0
 
 
 def canonical(results: Dict[str, object]) -> str:
@@ -316,44 +337,16 @@ def main() -> int:
     )
     parser.add_argument(
         "--obs",
-        choices=("trace", "sample", "profile", "inspect", "all"),
+        choices=(*OBS, "all"),
         default=None,
-        help="run with a repro.obs introspection subsystem live; fails on any "
-        "divergence from the committed goldens (proves introspection-on is "
-        "byte-identical)",
+        help="run with a repro.obs introspection subsystem live (composes with "
+        "--audit); fails on any divergence from the committed goldens (proves "
+        "introspection-on is byte-identical)",
     )
     args = parser.parse_args()
-    if args.obs:
-        results, stats = run_battery_obs(args.obs)
-        text = canonical(results)
-        with open(GOLDEN_PATH, encoding="utf-8") as fh:
-            golden = fh.read().rstrip("\n")
-        if text != golden:
-            print(f"OBS FAILED: results with --obs {args.obs} diverge from the "
-                  "committed goldens (introspection fed back into the simulation)")
-            return 1
-        touched = sum(sum(row.values()) for row in stats.values())
-        print(f"obs OK ({args.obs}): {len(results)} scenarios, "
-              f"{touched} introspection records, results byte-identical to goldens")
-        return 0
-    if args.audit:
-        results, reports = run_battery_audited(args.audit)
-        text = canonical(results)
-        bad = {name: rep for name, rep in reports.items() if rep["violation_count"]}
-        if bad:
-            print(json.dumps(bad, indent=1))
-            print(f"AUDIT FAILED: violations in {sorted(bad)}")
-            return 1
-        with open(GOLDEN_PATH, encoding="utf-8") as fh:
-            golden = fh.read().rstrip("\n")
-        if text != golden:
-            print("AUDIT FAILED: audited results diverge from committed goldens "
-                  "(the auditor fed back into the simulation)")
-            return 1
-        checks = sum(sum(rep["checks"].values()) for rep in reports.values())
-        print(f"audit OK: {len(results)} scenarios, {checks} checks, 0 violations, "
-              f"results byte-identical to goldens")
-        return 0
+    if args.audit or args.obs:
+        obs = tuple(OBS) if args.obs == "all" else (args.obs,) if args.obs else ()
+        return check_probed(args.audit, obs)
     results = run_battery()
     text = canonical(results)
     if args.write:

@@ -29,14 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit import (
-    NULL_AUDITOR,
-    AuditError,
-    Auditor,
-    audit_scope,
-    current_auditor,
-    default_auditor,
-)
+from repro import probes
+from repro.audit import AuditError, Auditor
 from repro.cc.base import CongestionControl
 from repro.experiments.common import FunctionExperiment
 from repro.runner import RunnerError, run_experiment
@@ -45,7 +39,7 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import DATA, PACKET_POOL
 from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
-from repro.telemetry import Recorder, set_default_recorder, write_events_jsonl
+from repro.telemetry import Recorder, write_events_jsonl
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
@@ -75,31 +69,31 @@ def _violations(aud, invariant):
 # plumbing: defaults, scope, modes
 # ----------------------------------------------------------------------
 def test_audit_is_off_by_default():
-    assert default_auditor() is NULL_AUDITOR
-    assert current_auditor() is None
-    assert not Simulator(1).audit.enabled
-    assert not SharedBuffer(1000).audit.enabled
+    # the registry-wide defaults are pinned in test_probes.py; a standalone
+    # buffer adopts the audit default without any simulator
+    assert SharedBuffer(1000).audit is probes.OFF
 
 
 def test_audit_scope_installs_and_restores_default():
-    assert default_auditor() is NULL_AUDITOR
-    with audit_scope("warn") as aud:
-        assert default_auditor() is aud
-        assert current_auditor() is aud
+    with probes.scope("audit", Auditor("warn")) as aud:
         assert PACKET_POOL.audit is aud
-        sim = Simulator(1)
-        assert sim.audit is aud
-        buf = SharedBuffer(1000)
-        assert buf.audit is aud
-    assert default_auditor() is NULL_AUDITOR
-    assert PACKET_POOL.audit is NULL_AUDITOR
+        assert SharedBuffer(1000).audit is aud
+        assert Simulator(1).audit is aud
+    assert SharedBuffer(1000).audit is probes.OFF
+    assert PACKET_POOL.audit is probes.OFF
 
 
 def test_audit_scope_restores_default_on_exception():
+    # a strict auditor whose finalize would fail (a leaked packet) must not
+    # mask the exception already in flight: finalize runs on clean exit only
+    pkt = None
     with pytest.raises(KeyError):
-        with audit_scope("strict"):
+        with probes.scope("audit", Auditor("strict")) as aud:
+            pkt = PACKET_POOL.acquire(DATA, 1040, src=0, dst=1, flow_id=1)
             raise KeyError("boom")
-    assert default_auditor() is NULL_AUDITOR
+    assert not aud.report.finalized
+    assert probes.active("audit") is None
+    PACKET_POOL.release(pkt)
 
 
 def test_invalid_mode_rejected():
@@ -238,7 +232,7 @@ def test_pfc_no_deadlock_without_cycle():
 # (4) sender window accounting
 # ----------------------------------------------------------------------
 def test_sender_window_drift_detected():
-    with audit_scope("warn") as aud:
+    with probes.scope("audit", Auditor("warn")) as aud:
         sim = Simulator(3)
         _net, _flows, senders, _recv = _star_scenario(sim, n=1)
         sim.run(until=5_000)  # mid-flight: several packets outstanding
@@ -253,7 +247,7 @@ def test_sender_window_drift_detected():
 
 
 def test_sender_window_clean_run_has_checks():
-    with audit_scope("strict") as aud:
+    with probes.scope("audit", Auditor("strict")) as aud:
         sim = Simulator(3)
         _net, flows, _senders, _recv = _star_scenario(sim)
         sim.run(until=1_000_000_000)
@@ -266,7 +260,7 @@ def test_sender_window_clean_run_has_checks():
 # (5) clock monotonicity
 # ----------------------------------------------------------------------
 def test_clock_regression_detected_on_fused_path():
-    with audit_scope("warn") as aud:
+    with probes.scope("audit", Auditor("warn")) as aud:
         sim = Simulator(1)
         sim.at(1_000, lambda: None)
         sim.run()
@@ -293,7 +287,7 @@ def test_audited_run_loop_matches_plain_run():
 
     sim_a, order_a = build()
     n_a = sim_a.run(until=400)
-    with audit_scope("strict") as aud:
+    with probes.scope("audit", Auditor("strict")) as aud:
         sim_b, order_b = build()
         n_b = sim_b.run(until=400)
     assert (n_b, sim_b.now, order_b) == (n_a, sim_a.now, order_a)
@@ -305,7 +299,7 @@ def test_audited_run_loop_matches_plain_run():
 # (1) packet conservation ledger
 # ----------------------------------------------------------------------
 def test_ledger_flags_unclassified_release():
-    with audit_scope("warn") as aud:
+    with probes.scope("audit", Auditor("warn")) as aud:
         pkt = PACKET_POOL.acquire(DATA, 1040, src=0, dst=1, flow_id=1)
         PACKET_POOL.release(pkt)  # no delivery/drop classification
     bad = _violations(aud, "packet_ledger")
@@ -315,7 +309,7 @@ def test_ledger_flags_unclassified_release():
 
 
 def test_ledger_flags_leaked_packet():
-    with audit_scope("warn") as aud:
+    with probes.scope("audit", Auditor("warn")) as aud:
         pkt = PACKET_POOL.acquire(DATA, 1040, src=0, dst=1, flow_id=1)
     bad = _violations(aud, "packet_ledger")
     assert bad and "leaked" in bad[0].message
@@ -325,15 +319,15 @@ def test_ledger_flags_leaked_packet():
 def test_strict_finalize_raises_on_leak():
     pkt = None
     with pytest.raises(AuditError, match="packet_ledger"):
-        with audit_scope("strict"):
+        with probes.scope("audit", Auditor("strict")):
             pkt = PACKET_POOL.acquire(DATA, 1040, src=0, dst=1, flow_id=1)
-    assert default_auditor() is NULL_AUDITOR  # scope restored before the raise
+    assert probes.active("audit") is None  # scope restored before the raise
     PACKET_POOL.release(pkt)
 
 
 def test_ledger_reconciles_clean_scenario_with_drops():
     cfg = SwitchConfig(n_queues=2, buffer_bytes=20_000, pfc=PfcConfig(enabled=False))
-    with audit_scope("strict") as aud:
+    with probes.scope("audit", Auditor("strict")) as aud:
         sim = Simulator(7)
         net, flows, _s, _r = _star_scenario(
             sim, n=4, flow_bytes=60_000, cwnd=60_000, cfg=cfg, rto_ns=400_000
@@ -379,14 +373,11 @@ def test_unbound_buffer_with_enabled_recorder_fails_fast():
 
 def test_bound_buffer_emits_with_clock():
     rec = Recorder(events=True)
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         sim = Simulator(1)
         buf = SharedBuffer(16_000)
         buf.bind_telemetry(sim, "sw0")
         assert buf.try_admit_shared(0, 1_000)
-    finally:
-        set_default_recorder(None)
     assert rec.events["buffer"] == [(0, "sw0", 1_000, 0)]
 
 
@@ -408,7 +399,7 @@ def _probe_after_blackhole(sender_cls_patch=None):
     probe ACK disarms the RTO while go-back-N retransmits sit queued,
     leaving the flow with no wake-up source at all.
     """
-    with audit_scope("warn") as aud:
+    with probes.scope("audit", Auditor("warn")) as aud:
         sim = Simulator(5)
         net, _flows, senders, recv = _star_scenario(
             sim, n=1, flow_bytes=10_000, cwnd=20_000, rto_ns=100_000
@@ -448,7 +439,7 @@ def test_fixed_rto_disarm_keeps_timer_with_queued_retx():
 
 
 def test_rto_still_disarmed_when_truly_idle():
-    with audit_scope("strict") as aud:
+    with probes.scope("audit", Auditor("strict")) as aud:
         sim = Simulator(3)
         _net, flows, senders, _recv = _star_scenario(sim, n=1, flow_bytes=5_000)
         sim.run(until=1_000_000_000)
@@ -462,7 +453,7 @@ def test_rto_still_disarmed_when_truly_idle():
 # ----------------------------------------------------------------------
 def _lossy_overload(aud_mode="strict"):
     cfg = SwitchConfig(n_queues=2, buffer_bytes=20_000, pfc=PfcConfig(enabled=False))
-    with audit_scope(aud_mode) as aud:
+    with probes.scope("audit", Auditor(aud_mode)) as aud:
         sim = Simulator(7)
         net, flows, _s, _r = _star_scenario(
             sim, n=4, flow_bytes=60_000, cwnd=60_000, cfg=cfg, rto_ns=400_000
@@ -503,11 +494,8 @@ def test_legacy_double_drop_count_is_flagged(monkeypatch):
 
 def test_drop_telemetry_carries_matching_reason():
     rec = Recorder(events=True)
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         _aud, net, _flows = _lossy_overload()
-    finally:
-        set_default_recorder(None)
     stats = net.switches[0].buffer.stats
     drops = rec.events["drop"]
     assert len(drops) == stats.dropped
@@ -523,7 +511,7 @@ def test_drop_telemetry_carries_matching_reason():
 # ----------------------------------------------------------------------
 def test_audited_scenario_byte_identical_to_plain():
     plain = canonical({"pfc_incast": pfc_incast()})
-    with audit_scope("strict") as aud:
+    with probes.scope("audit", Auditor("strict")) as aud:
         audited = canonical({"pfc_incast": pfc_incast()})
     assert audited == plain
     assert aud.report.ok
@@ -627,7 +615,7 @@ def test_property_random_traffic_audits_clean(seed):
         headroom_per_port_per_prio=8_000 if pfc_on else 0,
         pfc=PfcConfig(enabled=pfc_on, xoff_bytes=4_000),
     )
-    with audit_scope("strict") as aud:
+    with probes.scope("audit", Auditor("strict")) as aud:
         sim = Simulator(seed % 1_000)
         n = rnd.randint(1, 3)
         net, senders, recv = star(

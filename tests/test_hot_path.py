@@ -8,13 +8,14 @@ free-list pool, and the satellite fixes that rode along (float clamping in
 
 import pytest
 
+from repro import probes
 from repro.cc.base import CongestionControl
 from repro.sim.engine import Simulator
 from repro.sim.packet import DATA, PACKET_POOL, IntHop, Packet, PacketPool
 from repro.sim.pfc import PfcConfig
 from repro.sim.port import Port
 from repro.sim.switch import SwitchConfig
-from repro.telemetry import Recorder, set_default_recorder
+from repro.telemetry import Recorder
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
@@ -225,15 +226,12 @@ def test_set_paused_out_of_range_raises():
 # ----------------------------------------------------------------------
 def test_cut_reports_only_drained_queues_and_link_idle():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         sim, port, sink = make_port(n_queues=4)
         port.enqueue(pkt(size=500, seq=1, prio=1))
         port.enqueue(pkt(size=500, seq=2, prio=1))
         sim.at(200, port.cut)  # mid-transmission of seq 1
         sim.run()
-    finally:
-        set_default_recorder(None)
     cut_queue_events = [e for e in rec.events["queue"] if e[0] == 200]
     # only queue 1 held packets: untouched queues must not be reported
     assert cut_queue_events == [(200, "p", 1, 0, 0)]
@@ -242,15 +240,12 @@ def test_cut_reports_only_drained_queues_and_link_idle():
 
 def test_cut_when_idle_emits_no_link_event():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         sim, port, sink = make_port(n_queues=4)
         port.enqueue(pkt(size=100, seq=1))  # tx ends at 100, delivery at 200
         sim.run()  # drain completely: port idle again
         assert not port.busy
         port.cut()
-    finally:
-        set_default_recorder(None)
     # idle-at-cut: the only idle link event is the end-of-tx one at t=100
     assert [e for e in rec.events["link"] if e[2] is False] == [(100, "p", False)]
 

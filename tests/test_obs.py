@@ -6,47 +6,25 @@ import json
 
 import pytest
 
+from repro import probes
 from repro.cc import Swift, SwiftParams
 from repro.cc.base import CongestionControl
 from repro.core import ChannelConfig, PrioPlusCC, StartTier
 from repro.experiments.quickstart import run_quickstart
-from repro.obs import (
-    ChannelInspector,
-    EngineProfiler,
-    NULL_INSPECTOR,
-    NULL_PROFILER,
-    NULL_SAMPLER,
-    NULL_TRACER,
-    PacketTracer,
-    TimeSeriesSampler,
-    current_tracer,
-    inspect_scope,
-    profile_scope,
-    sample_scope,
-    set_default_inspector,
-    set_default_profiler,
-    set_default_sampler,
-    set_default_tracer,
-    trace_scope,
-)
+from repro.obs import ChannelInspector, EngineProfiler, PacketTracer, TimeSeriesSampler
 from repro.sim.engine import Simulator
-from repro.sim.pfc import PfcConfig
 from repro.sim.switch import SwitchConfig
-from repro.telemetry import JsonlEventStream, Recorder, set_default_recorder
+from repro.telemetry import JsonlEventStream, Recorder
 from repro.topology import star
 from repro.transport.flow import Flow
 from repro.transport.sender import FlowSender
 
 
 @pytest.fixture(autouse=True)
-def _reset_obs_defaults():
-    """Never leak an installed obs subsystem into other tests."""
+def _reset_probes():
+    """Never leak an installed probe into other tests."""
     yield
-    set_default_tracer(None)
-    set_default_inspector(None)
-    set_default_sampler(None)
-    set_default_profiler(None)
-    set_default_recorder(None)
+    probes.reset()
 
 
 def _quickstart_scenario(sim):
@@ -69,22 +47,22 @@ def _quickstart_scenario(sim):
 # defaults: everything off unless installed
 # ----------------------------------------------------------------------
 def test_null_defaults_adopted():
+    # the registry-wide defaults are pinned in test_probes.py; here the
+    # components of a fresh world snapshot the inert probe too
     sim = Simulator(1)
-    assert sim.tracer is NULL_TRACER
-    assert sim.inspector is NULL_INSPECTOR
-    assert sim.sampler is NULL_SAMPLER
-    assert sim.profiler is NULL_PROFILER
-    for null in (NULL_TRACER, NULL_INSPECTOR, NULL_SAMPLER, NULL_PROFILER):
-        assert null.enabled is False
-    assert current_tracer() is None
+    net, _flows, (cc_low, _) = _quickstart_scenario(sim)
+    sw = net.switches[0]
+    assert sw.tracer is probes.OFF
+    assert all(p.tracer is probes.OFF for p in sw.ports)
+    assert cc_low._insp is probes.OFF
 
 
 def test_scopes_install_and_restore():
-    with trace_scope(sample_every=4) as trc:
-        assert current_tracer() is trc
+    with probes.scope("tracer", PacketTracer(sample_every=4)) as trc:
+        assert probes.active("tracer") is trc
         sim = Simulator(1)
         assert sim.tracer is trc
-    assert current_tracer() is None
+    assert probes.active("tracer") is None
     assert trc.finalized
 
 
@@ -93,8 +71,10 @@ def test_scopes_install_and_restore():
 # ----------------------------------------------------------------------
 def test_results_byte_identical_with_all_obs_on():
     base = run_quickstart(low_bytes=600_000, high_bytes=200_000)
-    with trace_scope(sample_every=1), inspect_scope(), sample_scope(
-            stride_ns=50_000), profile_scope():
+    with probes.scope("tracer", PacketTracer(sample_every=1)), \
+            probes.scope("inspector", ChannelInspector()), \
+            probes.scope("sampler", TimeSeriesSampler(stride_ns=50_000)), \
+            probes.scope("profiler", EngineProfiler()):
         instrumented = run_quickstart(low_bytes=600_000, high_bytes=200_000)
     assert instrumented == base
 
@@ -103,7 +83,7 @@ def test_results_byte_identical_with_all_obs_on():
 # tracer: per-hop spans sum exactly to end-to-end latency
 # ----------------------------------------------------------------------
 def test_span_components_sum_to_e2e():
-    with trace_scope(sample_every=1) as trc:
+    with probes.scope("tracer", PacketTracer(sample_every=1)) as trc:
         sim = Simulator(1)
         net, flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -123,7 +103,7 @@ def test_span_components_sum_to_e2e():
 
 def test_sampling_is_deterministic_and_respects_rate():
     def run(sample_every):
-        with trace_scope(sample_every=sample_every) as trc:
+        with probes.scope("tracer", PacketTracer(sample_every=sample_every)) as trc:
             sim = Simulator(1)
             _net, flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
@@ -140,7 +120,7 @@ def test_sampling_is_deterministic_and_respects_rate():
 
 
 def test_pause_time_attributed_to_paused_hop():
-    with trace_scope(sample_every=1) as trc:
+    with probes.scope("tracer", PacketTracer(sample_every=1)) as trc:
         sim = Simulator(13)
         cfg = SwitchConfig(n_queues=4, buffer_bytes=8 * 1024 * 1024)
         net, senders, recv = star(sim, 1, rate_bps=10e9, link_delay_ns=500,
@@ -164,7 +144,7 @@ def test_pause_time_attributed_to_paused_hop():
 
 
 def test_spans_jsonl_roundtrip(tmp_path):
-    with trace_scope(sample_every=8) as trc:
+    with probes.scope("tracer", PacketTracer(sample_every=8)) as trc:
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -187,14 +167,11 @@ def test_perfetto_gains_packet_process():
     from repro.telemetry import to_perfetto
 
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
-        with trace_scope(sample_every=8) as trc:
+    with probes.scope("telemetry", rec):
+        with probes.scope("tracer", PacketTracer(sample_every=8)) as trc:
             sim = Simulator(1)
             _net, _flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
-    finally:
-        set_default_recorder(None)
     plain = to_perfetto(rec)
     traced = to_perfetto(rec, tracer=trc)
     packets = [e for e in traced["traceEvents"] if e.get("pid") == 6]
@@ -215,21 +192,18 @@ def test_perfetto_gains_packet_process():
 # ----------------------------------------------------------------------
 def test_inspector_matches_telemetry_flow_state():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
-        with inspect_scope() as insp:
+    with probes.scope("telemetry", rec):
+        with probes.scope("inspector", ChannelInspector()) as insp:
             sim = Simulator(1)
             _net, flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
-    finally:
-        set_default_recorder(None)
     assert all(f.done for f in flows)
     # the inspector's global transcript is exactly the flow_state channel
     assert insp.transitions == rec.events["flow_state"]
 
 
 def test_inspector_quickstart_transcript():
-    with inspect_scope() as insp:
+    with probes.scope("inspector", ChannelInspector()) as insp:
         sim = Simulator(1)
         _net, flows, ccs = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -312,7 +286,7 @@ def test_occupancy_steps():
 
 
 def test_report_json_roundtrip(tmp_path):
-    with inspect_scope() as insp:
+    with probes.scope("inspector", ChannelInspector()) as insp:
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -327,7 +301,7 @@ def test_report_json_roundtrip(tmp_path):
 # ----------------------------------------------------------------------
 def test_sampler_rows_are_stride_aligned_and_deterministic():
     def run():
-        with sample_scope(stride_ns=50_000) as smp:
+        with probes.scope("sampler", TimeSeriesSampler(stride_ns=50_000)) as smp:
             sim = Simulator(1)
             _net, _flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
@@ -347,7 +321,7 @@ def test_sampler_rows_are_stride_aligned_and_deterministic():
 
 
 def test_sampler_ring_bounds_memory():
-    with sample_scope(stride_ns=10_000, capacity=8) as smp:
+    with probes.scope("sampler", TimeSeriesSampler(stride_ns=10_000, capacity=8)) as smp:
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -360,7 +334,7 @@ def test_sampler_ring_bounds_memory():
 
 
 def test_sampler_csv_and_jsonl_export(tmp_path):
-    with sample_scope(stride_ns=100_000) as smp:
+    with probes.scope("sampler", TimeSeriesSampler(stride_ns=100_000)) as smp:
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -380,7 +354,7 @@ def test_sampler_csv_and_jsonl_export(tmp_path):
 # profiler: every event attributed
 # ----------------------------------------------------------------------
 def test_profiler_accounts_every_event():
-    with profile_scope() as prof:
+    with probes.scope("profiler", EngineProfiler()) as prof:
         sim = Simulator(1)
         _net, flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)
@@ -405,13 +379,10 @@ def test_jsonl_event_stream(tmp_path):
     path = tmp_path / "events.jsonl"
     rec = Recorder()
     with JsonlEventStream(rec, str(path)) as stream:
-        set_default_recorder(rec)
-        try:
+        with probes.scope("telemetry", rec):
             sim = Simulator(1)
             _net, _flows, _ = _quickstart_scenario(sim)
             sim.run(until=50_000_000)
-        finally:
-            set_default_recorder(None)
         # counts work while streaming; iteration is refused loudly
         counts = rec.event_counts()
         assert counts and list(counts) == sorted(counts)
@@ -433,8 +404,10 @@ def test_jsonl_event_stream(tmp_path):
 def test_report_dashboard(tmp_path):
     from repro.obs.report import build_dashboard, report_main
 
-    with trace_scope(sample_every=4) as trc, inspect_scope() as insp, \
-            sample_scope(stride_ns=100_000) as smp, profile_scope() as prof:
+    with probes.scope("tracer", PacketTracer(sample_every=4)) as trc, \
+            probes.scope("inspector", ChannelInspector()) as insp, \
+            probes.scope("sampler", TimeSeriesSampler(stride_ns=100_000)) as smp, \
+            probes.scope("profiler", EngineProfiler()) as prof:
         sim = Simulator(1)
         _net, _flows, _ = _quickstart_scenario(sim)
         sim.run(until=50_000_000)

@@ -115,14 +115,12 @@ def test_snapshot_as_topology_reset_cache():
 def test_snapshot_with_live_recorder_fails_fast():
     import pytest
 
+    from repro import probes
     from repro.sim.snapshot import SnapshotHookError
-    from repro.telemetry.recorder import Recorder, set_default_recorder
+    from repro.telemetry.recorder import Recorder
 
-    set_default_recorder(Recorder())
-    try:
+    with probes.scope("telemetry", Recorder()):
         sim, net, flows, snds = _world(1, 10, 0)
-    finally:
-        set_default_recorder(None)
     assert sim.telemetry.enabled
     with pytest.raises(SnapshotHookError, match="telemetry"):
         snapshot_world(sim, net, flows, snds)
@@ -131,13 +129,11 @@ def test_snapshot_with_live_recorder_fails_fast():
 
 
 def test_snapshot_allow_hooks_gives_forks_independent_recorders():
-    from repro.telemetry.recorder import Recorder, set_default_recorder
+    from repro import probes
+    from repro.telemetry.recorder import Recorder
 
-    set_default_recorder(Recorder())
-    try:
+    with probes.scope("telemetry", Recorder()):
         sim, net, flows, snds = _world(1, 10, 0)
-    finally:
-        set_default_recorder(None)
     sim2, _net2, _flows2, _snds2 = fork_world(sim, net, flows, snds, allow_hooks=True)
     assert sim2.telemetry is not sim.telemetry  # private copy, not a shared ring
     _run_out(sim2)
@@ -148,7 +144,7 @@ def test_snapshot_allow_hooks_gives_forks_independent_recorders():
 
 def test_snapshot_with_inert_hooks_needs_no_opt_in():
     sim, net, flows, snds = _world(1, 10, 0)
-    snap = snapshot_world(sim, net, flows, snds)  # all hooks are NULL singletons
+    snap = snapshot_world(sim, net, flows, snds)  # every hook is probes.OFF
     sim2, _net2, flows2, snds2 = snap.materialize()
     _run_out(sim2)
     assert all(f.done for f in flows2)

@@ -6,6 +6,7 @@ from collections import defaultdict
 
 import pytest
 
+from repro import probes
 from repro.analysis import PfcLogger, PortTracer
 from repro.cc.base import CongestionControl
 from repro.experiments.quickstart import run_quickstart
@@ -19,8 +20,6 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     Recorder,
-    current_recorder,
-    set_default_recorder,
     to_perfetto,
     write_events_jsonl,
     write_perfetto,
@@ -31,10 +30,10 @@ from repro.transport.sender import FlowSender
 
 
 @pytest.fixture(autouse=True)
-def _reset_default_recorder():
+def _reset_probes():
     """Never leak an installed recorder into other tests."""
     yield
-    set_default_recorder(None)
+    probes.reset()
 
 
 def _pfc_heavy_scenario(seed=3):
@@ -61,11 +60,8 @@ def _pfc_heavy_scenario(seed=3):
 def test_results_identical_with_and_without_recorder():
     base = run_quickstart(low_bytes=300_000, high_bytes=100_000)
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         traced = run_quickstart(low_bytes=300_000, high_bytes=100_000)
-    finally:
-        set_default_recorder(None)
     snap = traced.pop("telemetry")
     assert json.dumps(base, sort_keys=True) == json.dumps(traced, sort_keys=True)
     assert snap["event_counts"]["cwnd"] > 0
@@ -74,12 +70,8 @@ def test_results_identical_with_and_without_recorder():
 
 def test_recorder_does_not_consume_rng_or_schedule_events():
     def run(with_recorder):
-        if with_recorder:
-            set_default_recorder(Recorder())
-        try:
+        with probes.scope("telemetry", Recorder() if with_recorder else None):
             sim, f = _pfc_heavy_scenario()
-        finally:
-            set_default_recorder(None)
         return f.fct_ns(), sim.rng.random(), sim.events_processed
 
     assert run(False) == run(True)
@@ -87,14 +79,11 @@ def test_recorder_does_not_consume_rng_or_schedule_events():
 
 def test_default_recorder_adopted_by_new_simulators():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         sim = Simulator()
         assert sim.telemetry is rec
-        assert current_recorder() is rec
-    finally:
-        set_default_recorder(None)
-    assert current_recorder() is None
+        assert probes.active("telemetry") is rec
+    assert probes.active("telemetry") is None
     assert Simulator().telemetry.enabled is False
 
 
@@ -111,11 +100,8 @@ def test_channel_filtering_and_unknown_channel():
 
 def test_metrics_only_mode_keeps_no_events():
     rec = Recorder(events=False)
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         _pfc_heavy_scenario()
-    finally:
-        set_default_recorder(None)
     assert rec.event_counts() == {}
     assert rec.metrics.counters["pfc.pauses"].value >= 1
 
@@ -125,11 +111,8 @@ def test_metrics_only_mode_keeps_no_events():
 # ----------------------------------------------------------------------
 def _record_quickstart():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         run_quickstart(low_bytes=300_000, high_bytes=100_000)
-    finally:
-        set_default_recorder(None)
     return rec
 
 
@@ -167,11 +150,8 @@ def test_perfetto_trace_is_valid_and_ordered(tmp_path):
 
 def test_perfetto_trace_contains_pfc_pause_spans():
     rec = Recorder()
-    set_default_recorder(rec)
-    try:
+    with probes.scope("telemetry", rec):
         _pfc_heavy_scenario()
-    finally:
-        set_default_recorder(None)
     trace = to_perfetto(rec)
     pauses = [e for e in trace["traceEvents"] if e.get("ph") == "B" and e["name"] == "PAUSE"]
     assert pauses, "PFC pause spans missing from trace"
